@@ -8,10 +8,12 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use pvtm_bist::{BistController, MarchTest, MemoryModel};
+use pvtm::{AsbConfig, AsbEngine, HoldModelGrid, SourceBiasAnalyzer, StandbyLeakageGrid};
+use pvtm_bist::{BistController, Fault, FaultKind, MarchTest, MemoryModel};
 use pvtm_device::{Bias, Mosfet, Technology};
 use pvtm_sram::{AnalysisConfig, CellSizing, Conditions, FailureAnalyzer, SramCell};
 use pvtm_stats::{GaussHermite, ImportanceSampler};
+use rand::Rng;
 
 fn bench_device(c: &mut Criterion) {
     let tech = Technology::predictive_70nm();
@@ -144,6 +146,102 @@ fn bench_bist(c: &mut Criterion) {
                     .run(&MarchTest::march_c_minus(), &mut mem)
                     .expect("march columns in range");
                 black_box(report.faulty_columns())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    // One calibration step of the adaptive source-bias loop: a 2 KB die
+    // whose weak cells carry retention thresholds from the hold model (the
+    // `asb_population` density), tested at a mid-range DAC code.
+    let tech = Technology::predictive_70nm();
+    let sizing = CellSizing::default_for(&tech);
+    let analyzer = SourceBiasAnalyzer::new(&tech, sizing, AnalysisConfig::default());
+    let linspace = |lo: f64, hi: f64, n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
+            .collect()
+    };
+    let (corners, vsbs) = (linspace(-0.15, 0.15, 9), linspace(0.30, 0.74, 10));
+    let hold = HoldModelGrid::build(&analyzer, corners.clone(), vsbs.clone())
+        .expect("hold grid solves on the nominal axes");
+    let leak = StandbyLeakageGrid::build(&tech, sizing, corners, vsbs, 8);
+    let engine = AsbEngine::new(hold, leak, AsbConfig::default_2kb());
+    let die = engine.build_die(0.0, &mut pvtm_stats::rng::substream(0xB157, 0));
+    let dac = &engine.config().dac;
+    let vsb = dac.voltage(dac.codes() / 2);
+    c.bench_function("bist/march_c_minus_2kb_retention_die", |b| {
+        b.iter_batched(
+            || die.clone(),
+            |mut mem| {
+                mem.set_vsb(vsb);
+                let report = BistController::new()
+                    .run(&MarchTest::march_c_minus(), &mut mem)
+                    .expect("march columns in range");
+                black_box(report.faulty_columns())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    // The March ablation's workload: 16×16 arrays with six mixed faults
+    // (stuck-at, transition, coupling, address alias) per trial, drawn the
+    // way `ablation_march` draws them, under all four algorithms.
+    let trials: Vec<MemoryModel> = (0..16u64)
+        .map(|t| {
+            let mut rng = pvtm_stats::rng::substream(0x3A6C, t);
+            let mut mem = MemoryModel::new(16, 16);
+            let mut sites = std::collections::BTreeSet::new();
+            for _ in 0..6 {
+                let (row, col) = (rng.gen_range(0..16), rng.gen_range(0..16));
+                if !sites.insert((row, col)) {
+                    continue;
+                }
+                let kind = match rng.gen_range(0..5) {
+                    0 => FaultKind::StuckAt(rng.gen()),
+                    1 => FaultKind::TransitionUp,
+                    2 => FaultKind::TransitionDown,
+                    k => {
+                        let at = (rng.gen_range(0..16), rng.gen_range(0..16));
+                        match (k, at == (row, col)) {
+                            (3, false) => FaultKind::CouplingInv {
+                                agg_row: at.0,
+                                agg_col: at.1,
+                            },
+                            (3, true) => FaultKind::StuckAt(true),
+                            (_, false) => FaultKind::AddressAlias {
+                                to_row: at.0,
+                                to_col: at.1,
+                            },
+                            (_, true) => FaultKind::StuckAt(false),
+                        }
+                    }
+                };
+                mem.inject(Fault { row, col, kind });
+            }
+            mem
+        })
+        .collect();
+    let tests = [
+        MarchTest::mats_plus(),
+        MarchTest::march_c_minus(),
+        MarchTest::march_a(),
+        MarchTest::march_ss(),
+    ];
+    c.bench_function("bist/march_mixed_16x16", |b| {
+        b.iter_batched(
+            || trials.clone(),
+            |mut mems| {
+                let mut faulty = 0;
+                for mem in &mut mems {
+                    for test in &tests {
+                        faulty += BistController::new()
+                            .run(test, mem)
+                            .expect("march columns in range")
+                            .faulty_columns();
+                    }
+                }
+                black_box(faulty)
             },
             BatchSize::SmallInput,
         )

@@ -8,11 +8,12 @@
 //! fully testable components:
 //!
 //! - [`memory`] — a behavioural memory array with injectable faults
-//!   (stuck-at, transition, inversion coupling, and *retention* faults that
-//!   fire only above a per-cell source-bias level — the physical fault
-//!   class the calibration loop hunts),
+//!   (stuck-at, transition, inversion coupling, address-decoder aliasing,
+//!   and *retention* faults that fire only above a per-cell source-bias
+//!   level — the physical fault class the calibration loop hunts), kept in
+//!   a dense per-cell store,
 //! - [`march`] — a March-test DSL with the classic algorithms (MATS+,
-//!   March C−, March A),
+//!   March C−, March A, March SS), run over flat addresses,
 //! - [`bist`] — the controller: runs a test, latches per-column fault
 //!   flags, counts faulty columns,
 //! - [`dac`] — an n-bit DAC model with optional nonlinearity.

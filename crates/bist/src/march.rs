@@ -3,8 +3,9 @@
 //! A March test is a sequence of *elements*; each element walks every
 //! address in a prescribed order applying a fixed sequence of read/write
 //! operations. The classics provided here cover the fault classes of the
-//! behavioural memory model: MATS+ (stuck-at), March C− (stuck-at,
-//! transition, coupling) and March A (linked coupling faults).
+//! behavioural memory model: MATS+ (stuck-at, address decoder), March C−
+//! (stuck-at, transition, coupling), March A (linked coupling faults) and
+//! March SS (simple static faults).
 
 use serde::{Deserialize, Serialize};
 
@@ -186,29 +187,21 @@ impl MarchTest {
 
     /// Runs the test on a memory, returning every read mismatch.
     pub fn run(&self, memory: &mut MemoryModel) -> MarchResult {
-        let rows = memory.rows();
         let cols = memory.cols();
-        let n = rows * cols;
+        let n = memory.cells();
         let mut failures = Vec::new();
         let mut operations = 0u64;
         for (ei, element) in self.elements.iter().enumerate() {
-            let addresses: Box<dyn Iterator<Item = usize>> = match element.order {
-                Order::Up | Order::Either => Box::new(0..n),
-                Order::Down => Box::new((0..n).rev()),
-            };
-            for addr in addresses {
-                let (row, col) = (addr / cols, addr % cols);
+            let mut visit = |addr: usize| {
                 for (oi, op) in element.ops.iter().enumerate() {
-                    operations += 1;
                     match op {
-                        Op::W0 => memory.write(row, col, false),
-                        Op::W1 => memory.write(row, col, true),
+                        Op::W0 => memory.write_addr(addr, false),
+                        Op::W1 => memory.write_addr(addr, true),
                         Op::R0 | Op::R1 => {
-                            let expected = matches!(op, Op::R1);
-                            if memory.read(row, col) != expected {
+                            if memory.read_addr(addr) != (*op == Op::R1) {
                                 failures.push(MarchFailure {
-                                    row,
-                                    col,
+                                    row: addr / cols,
+                                    col: addr % cols,
                                     element: ei,
                                     op: oi,
                                 });
@@ -216,7 +209,12 @@ impl MarchTest {
                         }
                     }
                 }
+            };
+            match element.order {
+                Order::Up | Order::Either => (0..n).for_each(&mut visit),
+                Order::Down => (0..n).rev().for_each(&mut visit),
             }
+            operations += (element.ops.len() * n) as u64;
         }
         MarchResult {
             failures,

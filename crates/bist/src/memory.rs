@@ -1,4 +1,24 @@
 //! Behavioural memory array with fault injection.
+//!
+//! # Store layout
+//!
+//! Faults live in a dense per-cell store indexed by the flat address
+//! `row * cols + col`, so the common cell costs two slice loads per access:
+//!
+//! - `hold: Vec<f64>` — each cell's lowest retention threshold, +∞ when the
+//!   cell has none. A cell with several retention faults decays when *any*
+//!   threshold is reached, which is the same test as reaching the lowest.
+//! - `flags: Vec<u8>` — two bits per cell: `RARE` (the cell has entries in
+//!   the side table) and `AGGRESSOR` (the cell drives coupling faults).
+//! - a side table keyed by flat address holding the rare kinds (stuck-at,
+//!   transition, address alias) in injection order, because order decides
+//!   behaviour: the last stuck-at wins and the first alias wins;
+//! - victim lists keyed by the aggressor's flat address, read only when the
+//!   aggressor's `AGGRESSOR` bit is set.
+//!
+//! March tests walk flat addresses through the crate-private
+//! `read_addr`/`write_addr`; the public [`MemoryModel::read`] and
+//! [`MemoryModel::write`] check bounds and delegate to the same code.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -50,6 +70,12 @@ pub struct Fault {
     pub kind: FaultKind,
 }
 
+/// Flag bit: the cell has stuck-at, transition or alias faults in the side
+/// table.
+const RARE: u8 = 1;
+/// Flag bit: the cell is the aggressor of at least one coupling fault.
+const AGGRESSOR: u8 = 2;
+
 /// A behavioural memory array (one bit per cell) with injected faults and a
 /// source-bias state that gates retention faults.
 #[derive(Debug, Clone)]
@@ -57,9 +83,15 @@ pub struct MemoryModel {
     rows: usize,
     cols: usize,
     data: Vec<bool>,
-    faults: BTreeMap<(usize, usize), Vec<FaultKind>>,
-    /// victim lists per aggressor cell.
-    coupling: BTreeMap<(usize, usize), Vec<(usize, usize)>>,
+    /// Lowest retention threshold per cell \[V\], +∞ when the cell has none.
+    hold: Vec<f64>,
+    /// `RARE` / `AGGRESSOR` bits per cell.
+    flags: Vec<u8>,
+    /// Stuck-at, transition and alias faults per cell, in injection order.
+    rare: BTreeMap<usize, Vec<FaultKind>>,
+    /// Victim cells per aggressor cell, in injection order.
+    coupling: BTreeMap<usize, Vec<usize>>,
+    faults: usize,
     vsb: f64,
     reads: u64,
     writes: u64,
@@ -73,12 +105,16 @@ impl MemoryModel {
     /// Panics if either dimension is zero.
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "memory must have rows and columns");
+        let cells = rows * cols;
         Self {
             rows,
             cols,
-            data: vec![false; rows * cols],
-            faults: BTreeMap::new(),
+            data: vec![false; cells],
+            hold: vec![f64::INFINITY; cells],
+            flags: vec![0; cells],
+            rare: BTreeMap::new(),
             coupling: BTreeMap::new(),
+            faults: 0,
             vsb: 0.0,
             reads: 0,
             writes: 0,
@@ -114,7 +150,9 @@ impl MemoryModel {
     ///
     /// # Panics
     ///
-    /// Panics if the fault (or its aggressor) is out of bounds.
+    /// Panics if the fault (or its aggressor) is out of bounds, if a
+    /// coupling names its own victim as aggressor, or if an alias points at
+    /// its own cell.
     pub fn inject(&mut self, fault: Fault) {
         assert!(
             fault.row < self.rows && fault.col < self.cols,
@@ -122,35 +160,48 @@ impl MemoryModel {
             fault.row,
             fault.col
         );
-        if let FaultKind::CouplingInv { agg_row, agg_col } = fault.kind {
-            assert!(
-                agg_row < self.rows && agg_col < self.cols,
-                "aggressor ({agg_row}, {agg_col}) out of bounds"
-            );
-            self.coupling
-                .entry((agg_row, agg_col))
-                .or_default()
-                .push((fault.row, fault.col));
+        let i = self.idx(fault.row, fault.col);
+        match fault.kind {
+            FaultKind::CouplingInv { agg_row, agg_col } => {
+                assert!(
+                    agg_row < self.rows && agg_col < self.cols,
+                    "aggressor ({agg_row}, {agg_col}) out of bounds"
+                );
+                assert!(
+                    (agg_row, agg_col) != (fault.row, fault.col),
+                    "coupling must name another cell"
+                );
+                let a = self.idx(agg_row, agg_col);
+                self.coupling.entry(a).or_default().push(i);
+                self.flags[a] |= AGGRESSOR;
+            }
+            FaultKind::Retention { min_vsb } => self.hold[i] = self.hold[i].min(min_vsb),
+            FaultKind::AddressAlias { to_row, to_col } => {
+                assert!(
+                    to_row < self.rows && to_col < self.cols,
+                    "alias target ({to_row}, {to_col}) out of bounds"
+                );
+                assert!(
+                    (to_row, to_col) != (fault.row, fault.col),
+                    "alias must point elsewhere"
+                );
+                self.push_rare(i, fault.kind);
+            }
+            FaultKind::StuckAt(_) | FaultKind::TransitionUp | FaultKind::TransitionDown => {
+                self.push_rare(i, fault.kind)
+            }
         }
-        if let FaultKind::AddressAlias { to_row, to_col } = fault.kind {
-            assert!(
-                to_row < self.rows && to_col < self.cols,
-                "alias target ({to_row}, {to_col}) out of bounds"
-            );
-            assert!(
-                (to_row, to_col) != (fault.row, fault.col),
-                "alias must point elsewhere"
-            );
-        }
-        self.faults
-            .entry((fault.row, fault.col))
-            .or_default()
-            .push(fault.kind);
+        self.faults += 1;
+    }
+
+    fn push_rare(&mut self, i: usize, kind: FaultKind) {
+        self.rare.entry(i).or_default().push(kind);
+        self.flags[i] |= RARE;
     }
 
     /// Number of injected faults.
     pub fn fault_count(&self) -> usize {
-        self.faults.values().map(Vec::len).sum()
+        self.faults
     }
 
     /// Sets the source-bias voltage (activates retention faults whose
@@ -160,18 +211,10 @@ impl MemoryModel {
         assert!(vsb.is_finite() && vsb >= 0.0, "invalid vsb {vsb}");
         self.vsb = vsb;
         // Standby decay of exposed cells.
-        let decayed: Vec<(usize, usize)> = self
-            .faults
-            .iter()
-            .filter(|((_, _), kinds)| {
-                kinds
-                    .iter()
-                    .any(|k| matches!(k, FaultKind::Retention { min_vsb } if vsb >= *min_vsb))
-            })
-            .map(|(&loc, _)| loc)
-            .collect();
-        for (r, c) in decayed {
-            self.data[r * self.cols + c] = false;
+        for (d, &h) in self.data.iter_mut().zip(&self.hold) {
+            if vsb >= h {
+                *d = false;
+            }
         }
     }
 
@@ -187,16 +230,26 @@ impl MemoryModel {
         row * self.cols + col
     }
 
-    /// Resolves address-decoder aliasing: the cell actually accessed.
-    fn resolve(&self, row: usize, col: usize) -> (usize, usize) {
-        if let Some(kinds) = self.faults.get(&(row, col)) {
-            for k in kinds {
-                if let FaultKind::AddressAlias { to_row, to_col } = k {
-                    return (*to_row, *to_col);
-                }
-            }
+    /// The side-table faults of cell `i` (empty unless its `RARE` bit is
+    /// set).
+    #[inline]
+    fn rare_kinds(&self, i: usize) -> &[FaultKind] {
+        if self.flags[i] & RARE == 0 {
+            return &[];
         }
-        (row, col)
+        self.rare.get(&i).map_or(&[], Vec::as_slice)
+    }
+
+    /// Resolves address-decoder aliasing: the cell actually accessed.
+    #[inline]
+    fn resolve(&self, i: usize) -> usize {
+        self.rare_kinds(i)
+            .iter()
+            .find_map(|k| match *k {
+                FaultKind::AddressAlias { to_row, to_col } => Some(to_row * self.cols + to_col),
+                _ => None,
+            })
+            .unwrap_or(i)
     }
 
     /// Writes one bit.
@@ -206,29 +259,39 @@ impl MemoryModel {
     /// Panics on an out-of-bounds address.
     pub fn write(&mut self, row: usize, col: usize, value: bool) {
         assert!(row < self.rows && col < self.cols, "address out of bounds");
+        self.write_addr(row * self.cols + col, value);
+    }
+
+    /// Writes one bit at flat address `addr` (`row * cols + col`, checked
+    /// by the slice index only).
+    #[inline]
+    pub(crate) fn write_addr(&mut self, addr: usize, value: bool) {
         self.writes += 1;
-        let (row, col) = self.resolve(row, col);
-        let old = self.data[self.idx(row, col)];
+        if self.flags[addr] == 0 {
+            // No alias, no side-table kinds, no victims: only retention
+            // applies, and it swallows a freshly written 1 at high bias.
+            self.data[addr] = value && self.vsb < self.hold[addr];
+        } else {
+            self.write_flagged(addr, value);
+        }
+    }
+
+    /// The write of a flagged cell: alias, side-table kinds and coupling.
+    fn write_flagged(&mut self, addr: usize, value: bool) {
+        let i = self.resolve(addr);
+        let old = self.data[i];
         let mut new = value;
-        if let Some(kinds) = self.faults.get(&(row, col)) {
-            for k in kinds {
-                match k {
-                    FaultKind::StuckAt(v) => new = *v,
-                    FaultKind::TransitionUp if !old && value => new = old,
-                    FaultKind::TransitionDown if old && !value => new = old,
-                    _ => {}
-                }
+        for k in self.rare_kinds(i) {
+            match k {
+                FaultKind::StuckAt(v) => new = *v,
+                FaultKind::TransitionUp if !old && value => new = old,
+                FaultKind::TransitionDown if old && !value => new = old,
+                _ => {}
             }
         }
-        let i = self.idx(row, col);
-        let transitioned = self.data[i] != new;
-        self.data[i] = new;
-        // Retention faults swallow a freshly written 1 at high bias.
-        if new && self.retention_exposed(row, col) {
-            self.data[i] = false;
-        }
-        if transitioned {
-            self.fire_coupling(row, col);
+        self.data[i] = new && self.vsb < self.hold[i];
+        if old != new && self.flags[i] & AGGRESSOR != 0 {
+            self.fire_coupling(i);
         }
     }
 
@@ -239,39 +302,41 @@ impl MemoryModel {
     /// Panics on an out-of-bounds address.
     pub fn read(&mut self, row: usize, col: usize) -> bool {
         assert!(row < self.rows && col < self.cols, "address out of bounds");
+        self.read_addr(row * self.cols + col)
+    }
+
+    /// Reads one bit at flat address `addr` (`row * cols + col`, checked
+    /// by the slice index only). An exposed retention fault decays the
+    /// stored 1 before it is read.
+    #[inline]
+    pub(crate) fn read_addr(&mut self, addr: usize) -> bool {
         self.reads += 1;
-        let (row, col) = self.resolve(row, col);
-        let i = self.idx(row, col);
-        if self.data[i] && self.retention_exposed(row, col) {
-            self.data[i] = false;
+        if self.flags[addr] == 0 {
+            let v = self.data[addr] && self.vsb < self.hold[addr];
+            self.data[addr] = v;
+            v
+        } else {
+            self.read_flagged(addr)
         }
-        let mut v = self.data[i];
-        if let Some(kinds) = self.faults.get(&(row, col)) {
-            for k in kinds {
-                if let FaultKind::StuckAt(s) = k {
-                    v = *s;
-                }
+    }
+
+    /// The read of a flagged cell: alias and stuck-at.
+    fn read_flagged(&mut self, addr: usize) -> bool {
+        let i = self.resolve(addr);
+        let mut v = self.data[i] && self.vsb < self.hold[i];
+        self.data[i] = v;
+        for k in self.rare_kinds(i) {
+            if let FaultKind::StuckAt(s) = k {
+                v = *s;
             }
         }
         v
     }
 
-    fn retention_exposed(&self, row: usize, col: usize) -> bool {
-        self.faults
-            .get(&(row, col))
-            .map(|kinds| {
-                kinds
-                    .iter()
-                    .any(|k| matches!(k, FaultKind::Retention { min_vsb } if self.vsb >= *min_vsb))
-            })
-            .unwrap_or(false)
-    }
-
-    fn fire_coupling(&mut self, row: usize, col: usize) {
-        if let Some(victims) = self.coupling.get(&(row, col)).cloned() {
-            for (vr, vc) in victims {
-                let i = self.idx(vr, vc);
-                self.data[i] = !self.data[i];
+    fn fire_coupling(&mut self, i: usize) {
+        if let Some(victims) = self.coupling.get(&i) {
+            for &v in victims {
+                self.data[v] = !self.data[v];
             }
         }
     }
@@ -419,6 +484,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "coupling must name another cell")]
+    fn self_coupling_rejected() {
+        let mut m = MemoryModel::new(2, 2);
+        m.inject(Fault {
+            row: 1,
+            col: 0,
+            kind: FaultKind::CouplingInv {
+                agg_row: 1,
+                agg_col: 0,
+            },
+        });
+    }
+
+    #[test]
     fn fault_count_accumulates() {
         let mut m = MemoryModel::new(4, 4);
         assert_eq!(m.fault_count(), 0);
@@ -432,7 +511,20 @@ mod tests {
             col: 0,
             kind: FaultKind::TransitionUp,
         });
-        assert_eq!(m.fault_count(), 2);
+        m.inject(Fault {
+            row: 0,
+            col: 0,
+            kind: FaultKind::Retention { min_vsb: 0.4 },
+        });
+        m.inject(Fault {
+            row: 1,
+            col: 0,
+            kind: FaultKind::CouplingInv {
+                agg_row: 0,
+                agg_col: 0,
+            },
+        });
+        assert_eq!(m.fault_count(), 4);
     }
 
     #[test]

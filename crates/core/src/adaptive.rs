@@ -238,6 +238,7 @@ impl AsbEngine {
     /// gets an RDF sample, and cells whose hold slack dies within the grid
     /// receive a [`FaultKind::Retention`] at their personal threshold.
     pub fn build_die(&self, corner: f64, rng: &mut impl Rng) -> MemoryModel {
+        let _span = pvtm_telemetry::span("asb.build_die");
         let org = &self.cfg.org;
         let mut mem = MemoryModel::new(org.rows, org.cols);
         let profile = self.hold.profile_at(corner);
@@ -260,17 +261,14 @@ impl AsbEngine {
     /// faulty-column counter exceeds the spare budget, then settle on the
     /// last passing code.
     pub fn calibrate(&self, mem: &mut MemoryModel) -> AsbOutcome {
-        let bist = BistController::new();
+        let _span = pvtm_telemetry::span("asb.calibrate");
         let spares = self.cfg.org.redundant_cols;
         let mut steps = Vec::new();
         let mut last_good: Option<(u32, f64)> = None;
         for code in 0..self.cfg.dac.codes() {
             let vsb = self.cfg.dac.voltage(code);
             mem.set_vsb(vsb);
-            let report = bist
-                .run(&self.cfg.march, mem)
-                .expect("the march ran on this memory, so failure columns are in range");
-            let faulty = report.faulty_columns();
+            let faulty = self.bist_faulty_columns(mem);
             steps.push(AsbStep {
                 code,
                 vsb,
@@ -300,11 +298,20 @@ impl AsbEngine {
 
     /// Faulty-column count of a die at a fixed source bias (one BIST run).
     pub fn faulty_columns_at(&self, mem: &mut MemoryModel, vsb: f64) -> usize {
+        let _span = pvtm_telemetry::span("asb.use_check");
         mem.set_vsb(vsb);
-        BistController::new()
+        self.bist_faulty_columns(mem)
+    }
+
+    /// One BIST run at the memory's current bias, counted in `bist.runs`
+    /// and `bist.ops` (March operations).
+    fn bist_faulty_columns(&self, mem: &mut MemoryModel) -> usize {
+        let report = BistController::new()
             .run(&self.cfg.march, mem)
-            .expect("the march ran on this memory, so failure columns are in range")
-            .faulty_columns()
+            .expect("the march ran on this memory, so failure columns are in range");
+        pvtm_telemetry::counter_add("bist.runs", 1);
+        pvtm_telemetry::counter_add("bist.ops", report.march_result().operations);
+        report.faulty_columns()
     }
 
     /// Full evaluation of one die: calibration plus the comparison points
@@ -338,9 +345,11 @@ impl AsbEngine {
         vsb_opt: f64,
         seed: u64,
     ) -> Vec<DieEvaluation> {
+        let ctx = pvtm_telemetry::parallel_context();
         (0..dies as u64)
             .into_par_iter()
             .map(|die| {
+                let _ctx = pvtm_telemetry::adopt(&ctx);
                 let mut rng = pvtm_stats::rng::substream(seed, die);
                 let g: f64 = StandardNormal.sample(&mut rng);
                 let corner = sigma_inter * g;

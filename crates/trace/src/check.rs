@@ -1,8 +1,9 @@
 //! `pvtm-trace check` — gate sidecars against `perf-budgets.json`.
 //!
 //! A budget is a hard ceiling on a **deterministic work counter** (DC
-//! solves, Newton iterations, LU factorizations, cold solves) for one
-//! figure. Because those counters are byte-identical across runs with
+//! solves, Newton iterations, LU factorizations, cold solves, or a
+//! `counter.<name>` such as the BIST operation count) for one figure.
+//! Because those counters are byte-identical across runs with
 //! `PVTM_TELEMETRY_CLOCK=off`, the gate has zero flake: exceeding a
 //! budget means the code does more numerical work, full stop.
 //!
@@ -172,17 +173,23 @@ pub fn check(budgets: &Budgets, sidecars: &[Sidecar]) -> CheckOutcome {
     out
 }
 
-/// Returns `budgets` with each sidecar's figure entry replaced by the
-/// observed [`DEFAULT_METRICS`] values — the ratchet write. Entries for
-/// figures not in `sidecars` are kept as-is.
+/// Returns `budgets` with each sidecar's figure entry set to the observed
+/// values of [`DEFAULT_METRICS`] and of every metric the entry already
+/// names (so a hand-added `counter.*` budget survives the ratchet write).
+/// Entries for figures not in `sidecars` are kept as-is.
 pub fn update_budgets(budgets: &Budgets, sidecars: &[Sidecar]) -> Budgets {
     let mut next = budgets.clone();
     for sc in sidecars {
-        let metrics = DEFAULT_METRICS
+        let entry = next.figures.entry(sc.id.clone()).or_default();
+        let names: Vec<String> = DEFAULT_METRICS
             .iter()
-            .map(|&m| (m.to_string(), sc.metric(m).unwrap_or(0)))
+            .map(|m| m.to_string())
+            .chain(entry.keys().cloned())
             .collect();
-        next.figures.insert(sc.id.clone(), metrics);
+        for name in names {
+            let observed = sc.metric(&name).unwrap_or(0);
+            entry.insert(name, observed);
+        }
     }
     next
 }
@@ -262,6 +269,23 @@ mod tests {
         let b2 = update_budgets(&b, &[sidecar("fig2a", 100, 321)]);
         assert!(b2.figures.contains_key("fig6"));
         assert!(b2.figures.contains_key("fig2a"));
+    }
+
+    #[test]
+    fn update_keeps_counter_budgets() {
+        let mut sc = sidecar("fig9", 5, 9);
+        sc.counters.insert("bist.ops".into(), 640);
+        let mut b = update_budgets(&Budgets::default(), std::slice::from_ref(&sc));
+        assert!(!b.figures["fig9"].contains_key("counter.bist.ops"));
+        b.figures
+            .get_mut("fig9")
+            .unwrap()
+            .insert("counter.bist.ops".into(), 1000);
+        let b2 = update_budgets(&b, std::slice::from_ref(&sc));
+        assert_eq!(b2.figures["fig9"]["counter.bist.ops"], 640);
+        assert_eq!(b2.figures["fig9"]["solver.solves"], 5);
+        sc.counters.insert("bist.ops".into(), 700);
+        assert!(check(&b2, &[sc]).failed());
     }
 
     #[test]
