@@ -10,87 +10,63 @@
 
 use std::process::ExitCode;
 
-use pvtm_telemetry::json::{self, Value};
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("check_telemetry: FAIL: {msg}");
-    ExitCode::FAILURE
-}
+use pvtm_telemetry::json;
+use pvtm_telemetry::{Mode, Report};
 
 fn main() -> ExitCode {
+    match check() {
+        Ok(summary) => {
+            println!("check_telemetry: OK: {summary}");
+            ExitCode::SUCCESS
+        }
+        Err(msg) => {
+            eprintln!("check_telemetry: FAIL: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn check() -> Result<String, String> {
     let mut args = std::env::args().skip(1);
-    let Some(path) = args.next() else {
-        return fail("usage: check_telemetry <sidecar.json> [min_warm_hit_rate]");
-    };
+    let path = args
+        .next()
+        .ok_or("usage: check_telemetry <sidecar.json> [min_warm_hit_rate]")?;
     let min_warm: f64 = match args.next() {
-        Some(s) => match s.parse() {
-            Ok(v) => v,
-            Err(_) => return fail(&format!("bad warm-hit-rate floor {s:?}")),
-        },
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("bad warm-hit-rate floor {s:?}"))?,
         None => 0.0,
     };
-
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
-    let doc: Value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => return fail(&format!("malformed JSON in {path}: {e}")),
-    };
-
-    // v1 sidecars predate the numeric `schema_version` field; all read fine.
-    match doc.get("schema").and_then(Value::as_str) {
-        Some("pvtm-telemetry/1" | "pvtm-telemetry/2" | "pvtm-telemetry/3") => {}
-        other => return fail(&format!("unexpected schema {other:?}")),
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("malformed JSON in {path}: {e}"))?;
+    // The sidecar reader accepts every `pvtm-telemetry/<n>` version.
+    let sc = Report::from_value(&doc).map_err(|e| e.message)?;
+    if doc.get("id").is_none() {
+        return Err("missing id".into());
     }
-    let Some(id) = doc.get("id").and_then(Value::as_str) else {
-        return fail("missing id");
-    };
-
-    let Some(solver) = doc.get("solver") else {
-        return fail("missing solver section");
-    };
-    let solves = solver.get("solves").and_then(Value::as_u64).unwrap_or(0);
+    let report = &sc.report;
+    let solves = report.solver.solves;
     if solves == 0 {
-        return fail("no DC solves recorded — instrumentation did not run");
+        return Err("no DC solves recorded — instrumentation did not run".into());
     }
-    let warm = solver
-        .get("warm_hit_rate")
-        .and_then(Value::as_f64)
-        .unwrap_or(f64::NAN);
+    let warm = report.solver.warm_hit_rate;
     if !(warm >= min_warm && warm <= 1.0) {
-        return fail(&format!(
+        return Err(format!(
             "warm-hit rate {warm:.3} outside [{min_warm}, 1] ({solves} solves)"
         ));
     }
-
-    let traces = doc.get("traces").and_then(Value::as_array);
-    let trace_ok = traces.is_some_and(|ts| {
-        ts.iter().any(|t| {
-            t.get("points").and_then(Value::as_array).is_some_and(|ps| {
-                !ps.is_empty()
-                    && ps.iter().all(|p| {
-                        p.get("samples").and_then(Value::as_u64).unwrap_or(0) > 0
-                            && p.get("value").and_then(Value::as_f64).is_some()
-                    })
-            })
-        })
-    });
-    if !trace_ok {
-        return fail("no Monte-Carlo convergence trace with valid points");
+    let valid = |t: &pvtm_telemetry::TraceRow| {
+        !t.points.is_empty() && t.points.iter().all(|p| p.samples > 0 && !p.value.is_nan())
+    };
+    if !report.traces.iter().any(valid) {
+        return Err("no Monte-Carlo convergence trace with valid points".into());
     }
-
-    if doc.get("mode").and_then(Value::as_str) == Some("full") {
-        let spans = doc.get("spans").and_then(Value::as_array);
-        if spans.is_none_or(|s| s.is_empty()) {
-            return fail("full mode but no spans recorded");
-        }
+    if report.mode == Mode::Full && report.spans.is_empty() {
+        return Err("full mode but no spans recorded".into());
     }
-
-    println!(
-        "check_telemetry: OK: {id} — {solves} solves, warm-hit {:.1}%, traces present",
+    Ok(format!(
+        "{} — {solves} solves, warm-hit {:.1}%, traces present",
+        sc.id,
         100.0 * warm
-    );
-    ExitCode::SUCCESS
+    ))
 }

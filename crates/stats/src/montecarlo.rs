@@ -91,58 +91,14 @@ const CHUNK: u64 = 4096;
 
 /// Captures the active telemetry trace label on the calling thread (worker
 /// threads have their own, empty, trace stacks) so chunk closures can
-/// record their running moments into it.
-fn trace_for_chunks() -> Option<pvtm_telemetry::TraceHandle> {
-    pvtm_telemetry::active_trace()
-}
-
-/// Records one finished chunk's moments into the enclosing trace scope.
-fn record_trace_chunk(trace: &Option<pvtm_telemetry::TraceHandle>, chunk: u64, s: &Summary) {
-    if let Some(t) = trace {
-        pvtm_telemetry::record_chunk(t, chunk, s.count(), s.mean(), s.m2());
-    }
-}
-
-/// Journals the estimator's planned work (`mc.start`) before fan-out.
-fn record_start(trace: &Option<pvtm_telemetry::TraceHandle>, n: u64, chunks: u64) {
-    if let Some(t) = trace {
+/// record their running moments into it, and journals the estimator's
+/// planned work (`mc.start`) before fan-out.
+fn start_trace(n: u64, chunks: u64) -> Option<pvtm_telemetry::TraceHandle> {
+    let trace = pvtm_telemetry::active_trace();
+    if let Some(t) = &trace {
         pvtm_telemetry::record_mc_start(t, n, chunks);
     }
-}
-
-/// Importance-weight health moments of one chunk, accumulated *beside* the
-/// estimate arithmetic (never inside it — the reproduced numbers must be
-/// bit-identical with health recording on or off).
-#[derive(Debug, Clone, Copy, Default)]
-struct WeightHealth {
-    fails: u64,
-    sum: f64,
-    sq_sum: f64,
-    max: f64,
-}
-
-impl WeightHealth {
-    fn observe(&mut self, w: f64) {
-        self.fails += 1;
-        self.sum += w;
-        self.sq_sum += w * w;
-        self.max = self.max.max(w);
-    }
-
-    fn record(&self, trace: &Option<pvtm_telemetry::TraceHandle>, chunk: u64) {
-        if let Some(t) = trace {
-            pvtm_telemetry::record_chunk_health(
-                t,
-                chunk,
-                pvtm_telemetry::HealthChunk {
-                    fails: self.fails,
-                    weight_sum: self.sum,
-                    weight_sq_sum: self.sq_sum,
-                    weight_max: self.max,
-                },
-            );
-        }
-    }
+    trace
 }
 
 /// Estimates `E[f(rng)]` with `n` samples, parallelized over chunks with
@@ -161,8 +117,7 @@ impl WeightHealth {
 pub fn mc_mean(n: u64, seed: u64, f: impl Fn(&mut StdRng) -> f64 + Sync) -> McEstimate {
     assert!(n > 0, "mc_mean needs at least one sample");
     let chunks = n.div_ceil(CHUNK);
-    let trace = trace_for_chunks();
-    record_start(&trace, n, chunks);
+    let trace = start_trace(n, chunks);
     let ctx = pvtm_telemetry::parallel_context();
     let summary = (0..chunks)
         .into_par_iter()
@@ -176,7 +131,9 @@ pub fn mc_mean(n: u64, seed: u64, f: impl Fn(&mut StdRng) -> f64 + Sync) -> McEs
             for _ in lo..hi {
                 s.add(f(&mut rng));
             }
-            record_trace_chunk(&trace, c, &s);
+            if let Some(t) = &trace {
+                pvtm_telemetry::record_chunk(t, c, s.moments(), None);
+            }
             s
         })
         .reduce(Summary::new, |mut a, b| {
@@ -197,8 +154,7 @@ pub fn mc_mean(n: u64, seed: u64, f: impl Fn(&mut StdRng) -> f64 + Sync) -> McEs
 pub fn mc_probability(n: u64, seed: u64, event: impl Fn(&mut StdRng) -> bool + Sync) -> McEstimate {
     assert!(n > 0, "mc_probability needs at least one sample");
     let chunks = n.div_ceil(CHUNK);
-    let trace = trace_for_chunks();
-    record_start(&trace, n, chunks);
+    let trace = start_trace(n, chunks);
     let ctx = pvtm_telemetry::parallel_context();
     let hits: u64 = (0..chunks)
         .into_par_iter()
@@ -219,7 +175,13 @@ pub fn mc_probability(n: u64, seed: u64, event: impl Fn(&mut StdRng) -> bool + S
                 // (a chunk of h ones and nc - h zeros has exactly these).
                 let nc = hi - lo;
                 let p = h as f64 / nc as f64;
-                pvtm_telemetry::record_chunk(t, c, nc, p, h as f64 * (1.0 - p));
+                let m2 = h as f64 * (1.0 - p);
+                pvtm_telemetry::record_chunk(
+                    t,
+                    c,
+                    pvtm_telemetry::Moments { n: nc, mean: p, m2 },
+                    None,
+                );
             }
             h
         })
@@ -314,8 +276,7 @@ impl ImportanceSampler {
         assert!(n > 0, "importance sampling needs at least one sample");
         let d = self.shift.len();
         let chunks = n.div_ceil(CHUNK);
-        let trace = trace_for_chunks();
-        record_start(&trace, n, chunks);
+        let trace = start_trace(n, chunks);
         let ctx = pvtm_telemetry::parallel_context();
         let summary = (0..chunks)
             .into_par_iter()
@@ -326,7 +287,10 @@ impl ImportanceSampler {
                 let lo = c * CHUNK;
                 let hi = ((c + 1) * CHUNK).min(n);
                 let mut s = Summary::new();
-                let mut health = WeightHealth::default();
+                // Weight health is accumulated *beside* the estimate
+                // arithmetic, never inside it: the reproduced numbers must
+                // be bit-identical with health recording on or off.
+                let mut health = pvtm_telemetry::HealthChunk::default();
                 let mut z = vec![0.0f64; d];
                 let mut state = init();
                 for _ in lo..hi {
@@ -349,13 +313,12 @@ impl ImportanceSampler {
                     };
                     s.add(w);
                 }
-                // One write scope: a live scrape sees this chunk's moments
-                // and health together or not at all (ESS stays recomputable
+                // One record: a live scrape sees this chunk's moments and
+                // health together or not at all (ESS stays recomputable
                 // from any snapshot).
-                pvtm_telemetry::update_scope(|| {
-                    record_trace_chunk(&trace, c, &s);
-                    health.record(&trace, c);
-                });
+                if let Some(t) = &trace {
+                    pvtm_telemetry::record_chunk(t, c, s.moments(), Some(health));
+                }
                 s
             })
             .reduce(Summary::new, |mut a, b| {
@@ -395,8 +358,7 @@ impl ImportanceSampler {
         assert!(n > 0, "importance sampling needs at least one sample");
         let d = self.shift.len();
         let chunks = n.div_ceil(CHUNK);
-        let trace = trace_for_chunks();
-        record_start(&trace, n, chunks);
+        let trace = start_trace(n, chunks);
         let ctx = pvtm_telemetry::parallel_context();
         let (s_hi, s_lo, quarantined) = (0..chunks)
             .into_par_iter()
@@ -408,7 +370,7 @@ impl ImportanceSampler {
                 let hi = ((c + 1) * CHUNK).min(n);
                 let mut s_hi = Summary::new();
                 let mut s_lo = Summary::new();
-                let mut health = WeightHealth::default();
+                let mut health = pvtm_telemetry::HealthChunk::default();
                 let mut quarantined = 0u64;
                 let mut z = vec![0.0f64; d];
                 let mut state = init();
@@ -443,11 +405,10 @@ impl ImportanceSampler {
                     s_hi.add(w_hi);
                     s_lo.add(w_lo);
                 }
-                // Paired under one write scope, as in `probability_init`.
-                pvtm_telemetry::update_scope(|| {
-                    record_trace_chunk(&trace, c, &s_hi);
-                    health.record(&trace, c);
-                });
+                // One record, as in `probability_init`.
+                if let Some(t) = &trace {
+                    pvtm_telemetry::record_chunk(t, c, s_hi.moments(), Some(health));
+                }
                 (s_hi, s_lo, quarantined)
             })
             .reduce(

@@ -71,22 +71,20 @@ impl Summary {
 
     /// Merges another accumulator into this one (Chan's parallel update).
     pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
+        let m = self.moments().merge(other.moments());
+        (self.n, self.mean, self.m2) = (m.n, m.mean, m.m2);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// Count, mean and `M2`: the merge state, which is what telemetry
+    /// convergence traces record per chunk.
+    pub fn moments(&self) -> pvtm_telemetry::Moments {
+        pvtm_telemetry::Moments {
+            n: self.n,
+            mean: self.mean,
+            m2: self.m2,
+        }
     }
 
     /// Number of observations seen.
@@ -97,13 +95,6 @@ impl Summary {
     /// Sample mean; 0 for an empty accumulator.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Welford's `M2` — the sum of squared deviations from the mean. This
-    /// plus [`Self::count`] and [`Self::mean`] is the full merge state,
-    /// which is what telemetry convergence traces record per chunk.
-    pub fn m2(&self) -> f64 {
-        self.m2
     }
 
     /// Unbiased sample variance; 0 when fewer than two observations.

@@ -3,10 +3,10 @@
 //! records chunks from rayon workers. Every captured snapshot must be
 //! internally consistent:
 //!
-//! - `health_chunks == chunks_done` — the estimator pairs each chunk's
-//!   moments with its health record inside one `update_scope`, so no
-//!   scrape may ever observe one half of the pair (the torn state the
-//!   seqlock exists to prevent);
+//! - `health_chunks == chunks_done` — the estimator records each chunk's
+//!   moments and its health in one registry update, and a scrape reads
+//!   the registry under the same lock, so no scrape may ever observe one
+//!   half of the pair;
 //! - `ess` equals `(Σw)²/Σw²` recomputed from the snapshot's own weight
 //!   moments, bit-identical — the snapshot is self-describing;
 //! - `chunks_done` is monotone non-decreasing across consecutive scrapes.

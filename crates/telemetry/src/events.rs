@@ -223,8 +223,6 @@ pub fn open_journal(path: &Path, id: &str) -> std::io::Result<bool> {
     if !enabled() {
         return Ok(false);
     }
-    // The run id changes what live scrapes report; bump the write epoch.
-    let _scope = crate::snapshot::write_scope();
     let mut file = File::create(path)?;
     let mut header = header_line(id);
     header.push('\n');
@@ -236,6 +234,8 @@ pub fn open_journal(path: &Path, id: &str) -> std::io::Result<bool> {
         id: id.to_string(),
         written: 1,
     });
+    // The run id changes what live scrapes report.
+    crate::bump_epoch();
     Ok(true)
 }
 
@@ -249,10 +249,10 @@ pub fn open_journal(path: &Path, id: &str) -> std::io::Result<bool> {
 /// Propagates filesystem errors; the live (arrival-order) file is left in
 /// place when the canonical rewrite fails.
 pub fn finalize_journal(extra: &[(&'static str, Value)]) -> std::io::Result<Option<PathBuf>> {
-    let _scope = crate::snapshot::write_scope();
     let Some(live) = journal().live.take() else {
         return Ok(None);
     };
+    crate::bump_epoch();
     let text = render(&live.id, extra);
     let tmp = live.path.with_extension("jsonl.tmp");
     std::fs::write(&tmp, text)?;

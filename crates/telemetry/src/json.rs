@@ -78,6 +78,44 @@ impl Value {
         }
     }
 
+    /// A string member (`None` when absent or not a string).
+    pub fn str_at(&self, key: &str) -> Option<&str> {
+        self.get(key).and_then(Value::as_str)
+    }
+
+    /// An unsigned member; 0 when absent or not an unsigned integer.
+    pub fn u64_at(&self, key: &str) -> u64 {
+        self.get(key).and_then(Value::as_u64).unwrap_or(0)
+    }
+
+    /// A float member: `null` — how the writer spells a non-finite number —
+    /// reads as NaN, and an absent or non-numeric member as `absent`.
+    pub fn f64_at(&self, key: &str, absent: f64) -> f64 {
+        match self.get(key) {
+            Some(Value::Null) => f64::NAN,
+            Some(x) => x.as_f64().unwrap_or(absent),
+            None => absent,
+        }
+    }
+
+    /// An array member's items; empty when absent.
+    pub fn items(&self, key: &str) -> &[Value] {
+        self.get(key).and_then(Value::as_array).unwrap_or(&[])
+    }
+
+    /// An object member's `(key, value)` pairs; empty when absent.
+    pub fn members(&self, key: &str) -> &[(String, Value)] {
+        self.get(key).and_then(Value::as_object).unwrap_or(&[])
+    }
+
+    /// The `(key, value)` pairs, if this is an object.
+    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Obj(members) => Some(members),
+            _ => None,
+        }
+    }
+
     /// Renders compact JSON text.
     pub fn to_json(&self) -> String {
         let mut out = String::new();

@@ -53,22 +53,23 @@
 pub mod clock;
 pub mod events;
 pub mod fault;
+mod health;
 pub mod json;
 mod report;
 pub mod serve;
 pub mod snapshot;
 mod trace_events;
 
+pub use health::{HealthAxis, HealthEntry};
 pub use report::{
-    HistBucket, HistRow, Report, SolverSummary, SpanRow, TraceHealth, TracePoint, TraceRow,
-    SCHEMA_VERSION,
+    HistBucket, HistRow, Report, SchemaError, Sidecar, SolverSummary, SpanRow, TraceHealth,
+    TracePoint, TraceRow, SCHEMA_VERSION,
 };
-pub use snapshot::update_scope;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 // ---------------------------------------------------------------- mode gate
 
@@ -92,6 +93,15 @@ impl Mode {
             Mode::Full => "full",
         }
     }
+
+    /// Reads a mode name: `summary`, `full` (or `1`), anything else `off`.
+    pub fn parse(name: &str) -> Mode {
+        match name {
+            "summary" => Mode::Summary,
+            "full" | "1" => Mode::Full,
+            _ => Mode::Off,
+        }
+    }
 }
 
 const MODE_UNSET: u8 = u8::MAX;
@@ -113,15 +123,8 @@ pub fn mode() -> Mode {
 }
 
 fn mode_from_env() -> Mode {
-    match std::env::var("PVTM_TELEMETRY")
-        .unwrap_or_default()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "summary" => Mode::Summary,
-        "full" | "1" => Mode::Full,
-        _ => Mode::Off,
-    }
+    let name = std::env::var("PVTM_TELEMETRY").unwrap_or_default();
+    Mode::parse(&name.to_ascii_lowercase())
 }
 
 /// Overrides the mode (tests and harnesses; normally the env var decides).
@@ -162,29 +165,6 @@ pub fn set_clock_enabled(on: bool) {
 
 // ---------------------------------------------------------------- collector
 
-/// Solver work charged to a span: the subset of [`SolverDelta`] that the
-/// attribution model follows per span path (the rest stays global-only).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SpanSolver {
-    pub(crate) solves: u64,
-    pub(crate) newton_iterations: u64,
-    pub(crate) lu_factorizations: u64,
-    pub(crate) cold_solves: u64,
-    pub(crate) rescue_attempts: u64,
-    pub(crate) rescue_hits: u64,
-}
-
-impl SpanSolver {
-    fn add(&mut self, other: &SpanSolver) {
-        self.solves += other.solves;
-        self.newton_iterations += other.newton_iterations;
-        self.lu_factorizations += other.lu_factorizations;
-        self.cold_solves += other.cold_solves;
-        self.rescue_attempts += other.rescue_attempts;
-        self.rescue_hits += other.rescue_hits;
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct SpanStat {
     pub(crate) count: u64,
@@ -195,8 +175,9 @@ pub(crate) struct SpanStat {
     /// parallel region's children can sum to more CPU time than the
     /// parent's wall-clock.
     pub(crate) child_ns: u64,
-    /// Solver work recorded while this path was the innermost span.
-    pub(crate) solver: SpanSolver,
+    /// Solver work recorded while this path was the innermost span (the
+    /// sidecar reports its solve, Newton, LU, cold and rescue counts).
+    pub(crate) solver: SolverDelta,
 }
 
 /// A log2-bucketed histogram: bucket `e` counts values in `[2^e, 2^(e+1))`.
@@ -302,7 +283,7 @@ pub struct QuarantineRecord {
     /// Inter-die corner (σ·Vt shift) the sample was evaluated at.
     pub corner: f64,
     /// Error kind (the `CircuitError` variant name, e.g. `no_convergence`).
-    pub kind: &'static str,
+    pub kind: String,
 }
 
 #[derive(Debug, Default)]
@@ -317,6 +298,18 @@ struct Collector {
 }
 
 impl Collector {
+    /// Applies `f` to the current span path's stats, creating them on
+    /// first use (the path is cloned only then).
+    fn charge(&mut self, f: impl FnOnce(&mut SpanStat)) {
+        if let Some(s) = self.spans.get_mut(&self.path) {
+            f(s);
+        } else {
+            let mut s = SpanStat::default();
+            f(&mut s);
+            self.spans.insert(self.path.clone(), s);
+        }
+    }
+
     fn clear_stats(&mut self) {
         self.spans.clear();
         self.counters.clear();
@@ -365,38 +358,27 @@ struct Global {
     gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, Hist>,
     solver: SolverDelta,
+    /// Per-trace chunk records, kept sorted by chunk index.
     traces: BTreeMap<String, Vec<ChunkStat>>,
-    health: BTreeMap<String, Vec<(u64, HealthChunk)>>,
+    /// Planned estimator work by trace: `(samples, chunks)`, from
+    /// [`record_mc_start`]; gives live progress its denominators.
+    plans: BTreeMap<String, (u64, u64)>,
     quarantine: Vec<QuarantineRecord>,
+    /// Updates a live scrape can see (chunk, plan, quarantine and journal
+    /// records), counted under this mutex — the snapshot `epoch`.
+    epoch: u64,
 }
 
-static GLOBAL: Mutex<Global> = Mutex::new(Global {
-    spans: BTreeMap::new(),
-    counters: BTreeMap::new(),
-    gauges: BTreeMap::new(),
-    hists: BTreeMap::new(),
-    solver: SolverDelta {
-        solves: 0,
-        newton_iterations: 0,
-        lu_factorizations: 0,
-        warm_attempts: 0,
-        warm_hits: 0,
-        cold_solves: 0,
-        damped_retries: 0,
-        source_ramps: 0,
-        gmin_steps: 0,
-        ramp_steps: 0,
-        rescue_attempts: 0,
-        rescue_hits: 0,
-        rescue_rungs: 0,
-    },
-    traces: BTreeMap::new(),
-    health: BTreeMap::new(),
-    quarantine: Vec::new(),
-});
+static GLOBAL: LazyLock<Mutex<Global>> = LazyLock::new(Mutex::default);
 
 fn global() -> MutexGuard<'static, Global> {
     GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Counts one scrape-visible update that does not touch the registry
+/// itself (the journal opening or closing changes the live run id).
+pub(crate) fn bump_epoch() {
+    global().epoch += 1;
 }
 
 thread_local! {
@@ -431,36 +413,17 @@ impl Drop for SpanGuard {
             if snapshot::live_tracking() {
                 snapshot::span_closed(&c.path);
             }
-            if let Some(s) = c.spans.get_mut(&c.path) {
+            c.charge(|s| {
                 s.count += 1;
                 s.total_ns += ns;
-            } else {
-                c.spans.insert(
-                    c.path.clone(),
-                    SpanStat {
-                        count: 1,
-                        total_ns: ns,
-                        ..SpanStat::default()
-                    },
-                );
-            }
+            });
             c.path.truncate(prev_len);
             // Charge this span's wall-clock to the parent (after the
             // truncate, `c.path` *is* the parent path — an adopted prefix
             // counts too, which is what keeps post-hoc-merged worker spans
             // from double-counting into the parent's self-time).
             if !c.path.is_empty() {
-                if let Some(p) = c.spans.get_mut(&c.path) {
-                    p.child_ns += ns;
-                } else {
-                    c.spans.insert(
-                        c.path.clone(),
-                        SpanStat {
-                            child_ns: ns,
-                            ..SpanStat::default()
-                        },
-                    );
-                }
+                c.charge(|p| p.child_ns += ns);
             }
         });
     }
@@ -617,38 +580,65 @@ pub fn record_solver(delta: &SolverDelta) {
         // Attribution: charge the innermost span (empty outside Full mode,
         // so this costs nothing on the Summary-mode hot path).
         if !c.path.is_empty() {
-            let charge = SpanSolver {
-                solves: delta.solves,
-                newton_iterations: delta.newton_iterations,
-                lu_factorizations: delta.lu_factorizations,
-                cold_solves: delta.cold_solves,
-                rescue_attempts: delta.rescue_attempts,
-                rescue_hits: delta.rescue_hits,
-            };
-            if let Some(s) = c.spans.get_mut(&c.path) {
-                s.solver.add(&charge);
-            } else {
-                c.spans.insert(
-                    c.path.clone(),
-                    SpanStat {
-                        solver: charge,
-                        ..SpanStat::default()
-                    },
-                );
-            }
+            c.charge(|s| s.solver.add(delta));
         }
     });
 }
 
 // ---------------------------------------------------------------- traces
 
-/// One Monte-Carlo chunk's running moments, recorded by [`record_chunk`].
+/// Welford moments of a batch of observations — the merge state of a
+/// Monte-Carlo estimate. Estimators record one per chunk
+/// ([`record_chunk`]); the report, `pvtm-trace tail` and
+/// `pvtm_stats::Summary` all combine them through [`Moments::merge`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Moments {
+    /// Observations.
+    pub n: u64,
+    /// Sample mean (0 when empty).
+    pub mean: f64,
+    /// Sum of squared deviations from the mean.
+    pub m2: f64,
+}
+
+impl Moments {
+    /// Chan's parallel update: the moments of both batches together. An
+    /// empty side leaves the other untouched.
+    pub fn merge(self, other: Moments) -> Moments {
+        if other.n == 0 {
+            return self;
+        }
+        if self.n == 0 {
+            return other;
+        }
+        let n1 = self.n as f64;
+        let n2 = other.n as f64;
+        let delta = other.mean - self.mean;
+        let total = n1 + n2;
+        Moments {
+            n: self.n + other.n,
+            mean: self.mean + delta * n2 / total,
+            m2: self.m2 + (other.m2 + delta * delta * n1 * n2 / total),
+        }
+    }
+
+    /// Standard error of the mean, `sqrt(m2 / (n - 1) / n)`; 0 with fewer
+    /// than two observations.
+    pub fn std_err(&self) -> f64 {
+        if self.n < 2 {
+            0.0
+        } else {
+            (self.m2 / (self.n - 1) as f64 / self.n as f64).sqrt()
+        }
+    }
+}
+
+/// One Monte-Carlo chunk as recorded by [`record_chunk`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ChunkStat {
     pub(crate) chunk: u64,
-    pub(crate) n: u64,
-    pub(crate) mean: f64,
-    pub(crate) m2: f64,
+    pub(crate) moments: Moments,
+    pub(crate) health: Option<HealthChunk>,
 }
 
 /// RAII guard naming the convergence trace that Monte-Carlo loops started
@@ -699,44 +689,79 @@ pub fn active_trace() -> Option<TraceHandle> {
         .map(TraceHandle)
 }
 
-/// Records one chunk's running moments (`n` observations, Welford `mean`
-/// and `m2`) under the handle's trace. Chunks may arrive in any order from
-/// any thread; the report sorts by `chunk`. Also journals an `mc.chunk`
-/// event keyed by `(trace, chunk)`.
-pub fn record_chunk(handle: &TraceHandle, chunk: u64, n: u64, mean: f64, m2: f64) {
+/// Records one chunk under the handle's trace: its running moments and,
+/// for an importance sampler, its weight-health moments. Both land in one
+/// registry update, so a live scrape sees the pair or neither. Chunks may
+/// arrive in any order from any thread; each trace is kept sorted by chunk
+/// index. Also journals an `mc.chunk` event (plus `mc.health` when health
+/// is given) keyed by `(trace, chunk)`. No-op unless `mode() >= Summary`.
+pub fn record_chunk(
+    handle: &TraceHandle,
+    chunk: u64,
+    moments: Moments,
+    health: Option<HealthChunk>,
+) {
     if mode() == Mode::Off {
         return;
     }
-    let _scope = snapshot::write_scope();
-    global()
-        .traces
-        .entry(handle.0.to_string())
-        .or_default()
-        .push(ChunkStat { chunk, n, mean, m2 });
+    {
+        let mut g = global();
+        let chunks = g.traces.entry(handle.0.to_string()).or_default();
+        // After any equal index: the order a stable sort would give.
+        let at = chunks.partition_point(|c| c.chunk <= chunk);
+        chunks.insert(
+            at,
+            ChunkStat {
+                chunk,
+                moments,
+                health,
+            },
+        );
+        g.epoch += 1;
+    }
+    let key = events::name_key(&handle.0);
     events::emit(
         "mc.chunk",
-        events::name_key(&handle.0),
+        key,
         chunk,
         vec![
             ("trace", json::Value::Str(handle.0.to_string())),
             ("chunk", json::Value::Num(chunk as f64)),
-            ("n", json::Value::Num(n as f64)),
-            ("mean", json::Value::Num(mean)),
-            ("m2", json::Value::Num(m2)),
+            ("n", json::Value::Num(moments.n as f64)),
+            ("mean", json::Value::Num(moments.mean)),
+            ("m2", json::Value::Num(moments.m2)),
         ],
     );
+    if let Some(h) = health {
+        events::emit(
+            "mc.health",
+            key,
+            chunk,
+            vec![
+                ("trace", json::Value::Str(handle.0.to_string())),
+                ("chunk", json::Value::Num(chunk as f64)),
+                ("fails", json::Value::Num(h.fails as f64)),
+                ("weight_sum", json::Value::Num(h.weight_sum)),
+                ("weight_sq_sum", json::Value::Num(h.weight_sq_sum)),
+                ("weight_max", json::Value::Num(h.weight_max)),
+            ],
+        );
+    }
 }
 
 /// Journals an `mc.start` event announcing a chunked estimator's total
 /// planned work (`samples` observations over `chunks` chunks) under the
-/// handle's trace — what gives `pvtm-trace tail` its denominator for
-/// progress and ETA. No-op unless `mode() >= Summary`.
+/// handle's trace — what gives `pvtm-trace tail` and live progress their
+/// denominators. No-op unless `mode() >= Summary`.
 pub fn record_mc_start(handle: &TraceHandle, samples: u64, chunks: u64) {
     if mode() == Mode::Off {
         return;
     }
-    let _scope = snapshot::write_scope();
-    snapshot::record_plan(&handle.0, samples, chunks);
+    {
+        let mut g = global();
+        g.plans.insert(handle.0.to_string(), (samples, chunks));
+        g.epoch += 1;
+    }
     events::emit(
         "mc.start",
         events::name_key(&handle.0),
@@ -755,7 +780,8 @@ pub fn record_mc_start(handle: &TraceHandle, samples: u64, chunks: u64) {
 /// importance-sampling weight moments over *contributing* (failing)
 /// samples in that chunk. Accumulated by estimators alongside — never
 /// inside — the estimate arithmetic, so recording it cannot perturb the
-/// reproduced numbers.
+/// reproduced numbers. The report folds a trace's chunks in chunk order
+/// (all sums/max) into ESS and max-weight-fraction diagnostics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthChunk {
     /// Contributing (failing) samples in this chunk.
@@ -768,34 +794,33 @@ pub struct HealthChunk {
     pub weight_max: f64,
 }
 
-/// Records one chunk's health moments under the handle's trace and
-/// journals an `mc.health` event. Chunks may arrive in any order from any
-/// thread; the report sorts by chunk index and folds the moments (all
-/// sums/max — commutative) into per-trace ESS and max-weight-fraction
-/// diagnostics. No-op unless `mode() >= Summary`.
-pub fn record_chunk_health(handle: &TraceHandle, chunk: u64, h: HealthChunk) {
-    if mode() == Mode::Off {
-        return;
+impl HealthChunk {
+    /// Adds one contributing sample of importance weight `w`.
+    pub fn observe(&mut self, w: f64) {
+        self.fails += 1;
+        self.weight_sum += w;
+        self.weight_sq_sum += w * w;
+        self.weight_max = self.weight_max.max(w);
     }
-    let _scope = snapshot::write_scope();
-    global()
-        .health
-        .entry(handle.0.to_string())
-        .or_default()
-        .push((chunk, h));
-    events::emit(
-        "mc.health",
-        events::name_key(&handle.0),
-        chunk,
-        vec![
-            ("trace", json::Value::Str(handle.0.to_string())),
-            ("chunk", json::Value::Num(chunk as f64)),
-            ("fails", json::Value::Num(h.fails as f64)),
-            ("weight_sum", json::Value::Num(h.weight_sum)),
-            ("weight_sq_sum", json::Value::Num(h.weight_sq_sum)),
-            ("weight_max", json::Value::Num(h.weight_max)),
-        ],
-    );
+
+    /// Effective sample size `(Σw)²/Σw²`; 0 without weights.
+    pub fn ess(&self) -> f64 {
+        if self.weight_sq_sum > 0.0 {
+            self.weight_sum * self.weight_sum / self.weight_sq_sum
+        } else {
+            0.0
+        }
+    }
+
+    /// Both chunks' moments together: sums add, the larger maximum wins.
+    pub fn merge(self, other: HealthChunk) -> HealthChunk {
+        HealthChunk {
+            fails: self.fails + other.fails,
+            weight_sum: self.weight_sum + other.weight_sum,
+            weight_sq_sum: self.weight_sq_sum + other.weight_sq_sum,
+            weight_max: self.weight_max.max(other.weight_max),
+        }
+    }
 }
 
 // ---------------------------------------------------------------- quarantine
@@ -809,7 +834,6 @@ pub fn record_quarantine(rec: QuarantineRecord) {
     if mode() == Mode::Off {
         return;
     }
-    let _scope = snapshot::write_scope();
     events::emit(
         "mc.quarantine",
         rec.stream,
@@ -820,10 +844,12 @@ pub fn record_quarantine(rec: QuarantineRecord) {
             ("corner", json::Value::Num(rec.corner)),
             // "reason", not "kind": the event's own "kind" member is
             // already taken by the taxonomy name.
-            ("reason", json::Value::Str(rec.kind.to_string())),
+            ("reason", json::Value::Str(rec.kind.clone())),
         ],
     );
-    global().quarantine.push(rec);
+    let mut g = global();
+    g.quarantine.push(rec);
+    g.epoch += 1;
 }
 
 // ---------------------------------------------------------------- lifecycle
@@ -843,14 +869,11 @@ pub fn snapshot() -> Report {
 pub fn reset() {
     with_local(Collector::clear_stats);
     let mut g = global();
-    g.spans.clear();
-    g.counters.clear();
-    g.gauges.clear();
-    g.hists.clear();
-    g.solver = SolverDelta::default();
-    g.traces.clear();
-    g.health.clear();
-    g.quarantine.clear();
+    // Everything but the epoch, which only counts up.
+    *g = Global {
+        epoch: g.epoch,
+        ..Global::default()
+    };
     drop(g);
     snapshot::clear();
     events::clear();
@@ -866,6 +889,10 @@ pub(crate) fn test_guard() -> MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn moments(n: u64, mean: f64, m2: f64) -> Moments {
+        Moments { n, mean, m2 }
+    }
 
     #[test]
     fn disabled_mode_records_nothing() {
@@ -1007,8 +1034,8 @@ mod tests {
             let h = active_trace().unwrap();
             // Two chunks recorded out of order; each 100 samples of mean
             // 2.0 / 4.0 with zero spread.
-            record_chunk(&h, 1, 100, 4.0, 0.0);
-            record_chunk(&h, 0, 100, 2.0, 0.0);
+            record_chunk(&h, 1, moments(100, 4.0, 0.0), None);
+            record_chunk(&h, 0, moments(100, 2.0, 0.0), None);
         }
         assert!(active_trace().is_none());
         let r = snapshot();
@@ -1032,10 +1059,10 @@ mod tests {
         {
             let _b = trace_scope("inner");
             let h = active_trace().unwrap();
-            record_chunk(&h, 0, 1, 1.0, 0.0);
+            record_chunk(&h, 0, moments(1, 1.0, 0.0), None);
         }
         let h = active_trace().unwrap();
-        record_chunk(&h, 0, 1, 5.0, 0.0);
+        record_chunk(&h, 0, moments(1, 5.0, 0.0), None);
         drop(_a);
         let r = snapshot();
         assert_eq!(r.trace("inner").unwrap().points[0].value, 1.0);

@@ -1,38 +1,25 @@
 //! Point-in-time consistent live snapshots of the telemetry registry.
 //!
 //! A scrape taken mid-run must never observe a *torn* logical update — the
-//! canonical hazard is an estimator chunk whose running moments
-//! ([`crate::record_chunk`]) have landed while its health moments
-//! ([`crate::record_chunk_health`]) have not: ESS computed from such a
-//! snapshot would disagree with the chunk count. Single records are already
-//! atomic under the registry mutex; tearing is only possible across
-//! *separate* mutex acquisitions. The fix is a seqlock-style epoch:
-//!
-//! - writers enter a [`write scope`](update_scope) (one atomic increment),
-//!   perform any number of registry mutations, then bump the epoch and
-//!   leave the scope;
-//! - [`live`] reads the epoch, waits until no writer is inside a scope,
-//!   captures the registry under the mutex, and retries whenever a writer
-//!   entered concurrently or the epoch moved.
+//! canonical hazard is an estimator chunk whose running moments have
+//! landed while its health moments have not: ESS computed from such a
+//! snapshot would disagree with the chunk count. [`crate::record_chunk`]
+//! therefore records both in one registry update, and [`live`] reads the
+//! registry under the same mutex, so every snapshot is consistent by
+//! construction. A snapshot's `epoch` counts the updates it has seen.
 //!
 //! Everything here is live-plane only: none of this state is rendered into
 //! sidecars or journals, so runs without a metrics server are byte-identical
 //! to runs that never loaded this module.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::json::{obj, Value};
-use crate::report::Report;
-use crate::{clock, events};
+use crate::report::{fold_health, Report, SchemaError};
+use crate::{clock, events, HealthAxis, HealthEntry};
 
-// ------------------------------------------------------------ write epoch
-
-/// Writers currently inside an [`update_scope`].
-static WRITERS: AtomicU64 = AtomicU64::new(0);
-/// Completed logical updates; bumped when a write scope closes.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
 /// Whether a metrics server is running (gates open-span tracking).
 static LIVE: AtomicBool = AtomicBool::new(false);
 
@@ -40,51 +27,12 @@ static LIVE: AtomicBool = AtomicBool::new(false);
 /// only while a server is live; never rendered into deterministic outputs.
 static OPEN_SPANS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
 
-/// Planned estimator work recorded by [`crate::record_mc_start`]:
-/// trace name → (samples, chunks). Gives live progress its denominators.
-static PLANS: Mutex<BTreeMap<String, (u64, u64)>> = Mutex::new(BTreeMap::new());
-
 /// Stopwatch started when a metrics server comes up; read by [`live`] so
 /// scrape timestamps route through `clock` (zero when the clock is gated).
 static WATCH: Mutex<Option<clock::Stopwatch>> = Mutex::new(None);
 
 fn open_spans() -> MutexGuard<'static, BTreeMap<String, u64>> {
     OPEN_SPANS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn plans() -> MutexGuard<'static, BTreeMap<String, (u64, u64)>> {
-    PLANS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// RAII marker for one logical registry update; see [`update_scope`].
-#[derive(Debug)]
-pub(crate) struct WriteScope(());
-
-impl WriteScope {
-    pub(crate) fn enter() -> Self {
-        WRITERS.fetch_add(1, Ordering::SeqCst);
-        WriteScope(())
-    }
-}
-
-impl Drop for WriteScope {
-    fn drop(&mut self) {
-        EPOCH.fetch_add(1, Ordering::SeqCst);
-        WRITERS.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-pub(crate) fn write_scope() -> WriteScope {
-    WriteScope::enter()
-}
-
-/// Runs `f` as one logical registry update: a live scrape either sees all
-/// of its effects or none of them. Estimators wrap the per-chunk
-/// moments + health recording pair so ESS stays recomputable from any
-/// snapshot. Scopes nest; the cost is three uncontended atomic ops.
-pub fn update_scope<R>(f: impl FnOnce() -> R) -> R {
-    let _scope = WriteScope::enter();
-    f()
 }
 
 // -------------------------------------------------- live-plane bookkeeping
@@ -120,12 +68,7 @@ pub(crate) fn span_closed(path: &str) {
     }
 }
 
-pub(crate) fn record_plan(name: &str, samples: u64, chunks: u64) {
-    plans().insert(name.to_string(), (samples, chunks));
-}
-
 pub(crate) fn clear() {
-    plans().clear();
     open_spans().clear();
 }
 
@@ -146,8 +89,8 @@ pub struct TraceProgress {
     pub samples_done: u64,
     /// Planned sample count (0 when no `mc.start` was recorded).
     pub samples_total: u64,
-    /// Health chunks recorded so far — equals `chunks_done` at every
-    /// consistent snapshot of a weight-tracking estimator.
+    /// Chunks recorded with health moments — equals `chunks_done` for a
+    /// weight-tracking estimator, which records the two together.
     pub health_chunks: u64,
     /// Contributing (failing) samples across recorded health chunks.
     pub contributing: u64,
@@ -165,11 +108,49 @@ pub struct TraceProgress {
     pub std_err: f64,
 }
 
+impl TraceProgress {
+    fn to_value(&self) -> Value {
+        obj(vec![
+            ("chunks_done", Value::Num(self.chunks_done as f64)),
+            ("chunks_total", Value::Num(self.chunks_total as f64)),
+            ("contributing", Value::Num(self.contributing as f64)),
+            ("ess", Value::Num(self.ess)),
+            ("health_chunks", Value::Num(self.health_chunks as f64)),
+            ("name", Value::Str(self.name.clone())),
+            ("samples_done", Value::Num(self.samples_done as f64)),
+            ("samples_total", Value::Num(self.samples_total as f64)),
+            ("std_err", Value::Num(self.std_err)),
+            ("value", Value::Num(self.value)),
+            ("weight_max", Value::Num(self.weight_max)),
+            ("weight_sq_sum", Value::Num(self.weight_sq_sum)),
+            ("weight_sum", Value::Num(self.weight_sum)),
+        ])
+    }
+
+    fn from_value(p: &Value) -> TraceProgress {
+        TraceProgress {
+            name: p.str_at("name").unwrap_or("?").to_string(),
+            chunks_done: p.u64_at("chunks_done"),
+            chunks_total: p.u64_at("chunks_total"),
+            samples_done: p.u64_at("samples_done"),
+            samples_total: p.u64_at("samples_total"),
+            health_chunks: p.u64_at("health_chunks"),
+            contributing: p.u64_at("contributing"),
+            weight_sum: p.f64_at("weight_sum", 0.0),
+            weight_sq_sum: p.f64_at("weight_sq_sum", 0.0),
+            weight_max: p.f64_at("weight_max", 0.0),
+            ess: p.f64_at("ess", 0.0),
+            value: p.f64_at("value", 0.0),
+            std_err: p.f64_at("std_err", 0.0),
+        }
+    }
+}
+
 /// One consistent scrape of the full registry, as served by
 /// `/snapshot.json` and rendered to Prometheus text by `/metrics`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveSnapshot {
-    /// Write epoch the capture was validated against.
+    /// Registry updates counted when the capture was taken.
     pub epoch: u64,
     /// Journal id of the running figure (`live` when no journal is open).
     pub id: String,
@@ -183,79 +164,43 @@ pub struct LiveSnapshot {
     pub progress: Vec<TraceProgress>,
 }
 
-/// Captures one consistent [`LiveSnapshot`] via the seqlock protocol:
-/// retry while any writer is inside an [`update_scope`] or the epoch moved
-/// during the capture. Under sustained writes the loop is bounded; the
-/// final attempt is returned best-effort (single-record consistency still
-/// holds — only multi-record pairing could be stale).
+/// Captures one [`LiveSnapshot`]. The registry is read under the mutex
+/// every record call takes, and an estimator records a chunk's moments
+/// and health in one call, so no snapshot holds half of a chunk.
 pub fn live() -> LiveSnapshot {
-    for _ in 0..64 {
-        let epoch = EPOCH.load(Ordering::SeqCst);
-        if WRITERS.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-            continue;
-        }
-        let snap = capture(epoch);
-        if WRITERS.load(Ordering::SeqCst) == 0 && EPOCH.load(Ordering::SeqCst) == epoch {
-            return snap;
-        }
-    }
-    capture(EPOCH.load(Ordering::SeqCst))
-}
-
-fn capture(epoch: u64) -> LiveSnapshot {
-    let planned: BTreeMap<String, (u64, u64)> = plans().clone();
-    let (report, progress) = {
+    let (epoch, report, progress) = {
         let g = crate::global();
         let report = crate::report::build(&g, crate::mode(), crate::clock_enabled());
-        let mut names: Vec<&String> = g.traces.keys().collect();
-        for name in planned.keys() {
-            if !g.traces.contains_key(name) {
-                names.push(name);
-            }
-        }
-        names.sort();
+        let names: BTreeSet<&String> = g.traces.keys().chain(g.plans.keys()).collect();
         let progress = names
-            .iter()
+            .into_iter()
             .map(|name| {
-                let (samples_total, chunks_total) = planned.get(*name).copied().unwrap_or((0, 0));
-                let chunks_done = g.traces.get(*name).map_or(0, |c| c.len() as u64);
+                let (samples_total, chunks_total) = g.plans.get(name).copied().unwrap_or((0, 0));
+                let chunks = g.traces.get(name).map_or(&[][..], Vec::as_slice);
                 let last = report.trace(name).and_then(|t| t.points.last().copied());
                 let (samples_done, value, std_err) =
                     last.map_or((0, 0.0, 0.0), |p| (p.samples, p.value, p.std_err));
-                // Fold health moments in chunk order, mirroring the report,
-                // so `ess` here is bit-identical to the derived gauges.
-                let (mut health_chunks, mut fails) = (0u64, 0u64);
-                let (mut ws, mut wss, mut wmax) = (0.0f64, 0.0f64, 0.0f64);
-                if let Some(chunks) = g.health.get(*name) {
-                    let mut sorted = chunks.clone();
-                    sorted.sort_by_key(|&(chunk, _)| chunk);
-                    health_chunks = sorted.len() as u64;
-                    for (_, h) in &sorted {
-                        fails += h.fails;
-                        ws += h.weight_sum;
-                        wss += h.weight_sq_sum;
-                        wmax = wmax.max(h.weight_max);
-                    }
-                }
+                // The report's own fold, so `ess` here is bit-identical to
+                // the derived gauges.
+                let (health_chunks, h) = fold_health(chunks).unwrap_or_default();
                 TraceProgress {
-                    name: (*name).clone(),
-                    chunks_done,
+                    name: name.clone(),
+                    chunks_done: chunks.len() as u64,
                     chunks_total,
                     samples_done,
                     samples_total,
                     health_chunks,
-                    contributing: fails,
-                    weight_sum: ws,
-                    weight_sq_sum: wss,
-                    weight_max: wmax,
-                    ess: if wss > 0.0 { ws * ws / wss } else { 0.0 },
+                    contributing: h.fails,
+                    weight_sum: h.weight_sum,
+                    weight_sq_sum: h.weight_sq_sum,
+                    weight_max: h.weight_max,
+                    ess: h.ess(),
                     value,
                     std_err,
                 }
             })
             .collect();
-        (report, progress)
+        (g.epoch, report, progress)
     };
     let open = open_spans().iter().map(|(p, &n)| (p.clone(), n)).collect();
     let elapsed_secs = WATCH
@@ -289,17 +234,6 @@ pub const PROM_METRIC_MAP: &[(&str, &str)] = &[
     ("mc.is_weight", "pvtm_mc_is_weight"),
     ("solver.newton_per_solve", "pvtm_solver_newton_per_solve"),
 ];
-
-/// `/healthz` thresholds — the conservative `default` entry of the
-/// checked-in health budgets (`pvtm-trace health` gates figures tighter,
-/// per-figure; the live endpoint only flags clearly unhealthy runs).
-pub const HEALTHZ_MIN_ESS_FRACTION: f64 = 0.2;
-/// Ceiling on `mc.max_weight_fraction` before `WEIGHT_DEGENERATE`.
-pub const HEALTHZ_MAX_WEIGHT_FRACTION: f64 = 0.25;
-/// Ceiling on `mc.stall_ratio` before `STALLED`.
-pub const HEALTHZ_MAX_STALL_RATIO: f64 = 0.5;
-/// Ceiling on `mc.quarantine_ci_share` before `QUARANTINE_BIASED`.
-pub const HEALTHZ_MAX_QUARANTINE_CI_SHARE: f64 = 0.25;
 
 /// The mechanical §5b → Prometheus mangling: `pvtm_` prefix, every
 /// character outside `[a-z0-9_]` becomes `_`.
@@ -354,8 +288,8 @@ fn prom_num(v: f64) -> String {
 
 impl LiveSnapshot {
     /// The `/snapshot.json` document: the sidecar schema
-    /// (`pvtm-telemetry/3`, parseable by every tolerant sidecar consumer)
-    /// plus the live-plane members, with keys in sorted order.
+    /// (`pvtm-telemetry/3`, readable by [`Report::from_value`]) plus the
+    /// live-plane members, with keys in sorted order.
     pub fn to_value(&self) -> Value {
         let mut members = match self.report.to_value(&self.id) {
             Value::Obj(members) => members,
@@ -380,28 +314,7 @@ impl LiveSnapshot {
         ));
         members.push((
             "progress".to_string(),
-            Value::Arr(
-                self.progress
-                    .iter()
-                    .map(|p| {
-                        obj(vec![
-                            ("chunks_done", Value::Num(p.chunks_done as f64)),
-                            ("chunks_total", Value::Num(p.chunks_total as f64)),
-                            ("contributing", Value::Num(p.contributing as f64)),
-                            ("ess", Value::Num(p.ess)),
-                            ("health_chunks", Value::Num(p.health_chunks as f64)),
-                            ("name", Value::Str(p.name.clone())),
-                            ("samples_done", Value::Num(p.samples_done as f64)),
-                            ("samples_total", Value::Num(p.samples_total as f64)),
-                            ("std_err", Value::Num(p.std_err)),
-                            ("value", Value::Num(p.value)),
-                            ("weight_max", Value::Num(p.weight_max)),
-                            ("weight_sq_sum", Value::Num(p.weight_sq_sum)),
-                            ("weight_sum", Value::Num(p.weight_sum)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Value::Arr(self.progress.iter().map(TraceProgress::to_value).collect()),
         ));
         members.push((
             "quarantine_count".to_string(),
@@ -409,6 +322,37 @@ impl LiveSnapshot {
         ));
         members.sort_by(|a, b| a.0.cmp(&b.0));
         Value::Obj(members)
+    }
+
+    /// Reads a `/snapshot.json` document back: the sidecar part through
+    /// [`Report::from_value`], then the live members (`quarantine_count`
+    /// is the length of the sidecar's `quarantine` section, so it is not
+    /// read separately).
+    ///
+    /// # Errors
+    ///
+    /// Fails where [`Report::from_value`] does, and on a document without
+    /// the `live` marker or the `progress` array.
+    pub fn from_value(v: &Value) -> Result<LiveSnapshot, SchemaError> {
+        let doc = Report::from_value(v)?;
+        if v.get("live").and_then(Value::as_bool) != Some(true) {
+            return Err(SchemaError::new("missing live marker"));
+        }
+        let Some(progress) = v.get("progress").and_then(Value::as_array) else {
+            return Err(SchemaError::new("missing progress array"));
+        };
+        Ok(LiveSnapshot {
+            epoch: v.u64_at("epoch"),
+            id: doc.id,
+            elapsed_secs: v.f64_at("elapsed_secs", 0.0),
+            report: doc.report,
+            open_spans: v
+                .items("open_spans")
+                .iter()
+                .filter_map(|s| Some((s.str_at("path")?.to_string(), s.u64_at("open"))))
+                .collect(),
+            progress: progress.iter().map(TraceProgress::from_value).collect(),
+        })
     }
 
     /// The `/snapshot.json` body (compact, newline-terminated).
@@ -434,108 +378,63 @@ impl LiveSnapshot {
                 out.push_str(&format!("{name}{suffix} {}\n", prom_num(*v)));
             }
         }
+        fn one(out: &mut String, name: &str, kind: &str, v: f64) {
+            sample(out, name, kind, &[(String::new(), v)]);
+        }
         let mut out = String::new();
         for (name, v) in &self.report.counters {
-            sample(
+            one(&mut out, &prom_name(name), "counter", *v as f64);
+        }
+        let mut solver = self.report.solver.counters();
+        solver.sort_unstable_by_key(|&(field, _)| field);
+        for (field, v) in solver {
+            one(
                 &mut out,
-                &prom_name(name),
+                &prom_name(&format!("solver.{field}")),
                 "counter",
-                &[(String::new(), *v as f64)],
+                v as f64,
             );
         }
-        let s = &self.report.solver;
-        for (field, v) in [
-            ("solver.cold_solves", s.cold_solves),
-            ("solver.damped_retries", s.damped_retries),
-            ("solver.gmin_steps", s.gmin_steps),
-            ("solver.lu_factorizations", s.lu_factorizations),
-            ("solver.newton_iterations", s.newton_iterations),
-            ("solver.ramp_steps", s.ramp_steps),
-            ("solver.rescue_attempts", s.rescue_attempts),
-            ("solver.rescue_hits", s.rescue_hits),
-            ("solver.rescue_rungs", s.rescue_rungs),
-            ("solver.solves", s.solves),
-            ("solver.source_ramps", s.source_ramps),
-            ("solver.warm_attempts", s.warm_attempts),
-            ("solver.warm_hits", s.warm_hits),
-        ] {
-            sample(
-                &mut out,
-                &prom_name(field),
-                "counter",
-                &[(String::new(), v as f64)],
-            );
-        }
-        sample(
+        let warm_hit_rate = self.report.solver.warm_hit_rate;
+        one(
             &mut out,
             &prom_name("solver.warm_hit_rate"),
             "gauge",
-            &[(String::new(), s.warm_hit_rate)],
+            warm_hit_rate,
         );
         for (name, v) in &self.report.gauges {
-            sample(&mut out, &prom_name(name), "gauge", &[(String::new(), *v)]);
+            one(&mut out, &prom_name(name), "gauge", *v);
         }
         for h in &self.report.histograms {
             let name = prom_name(&h.name);
-            let mut lines = Vec::new();
             let mut cum = h.underflow;
-            for b in &h.buckets {
-                cum += b.count;
-                let le = 2.0f64.powi(i32::from(b.log2) + 1);
-                lines.push((format!("_bucket{{le=\"{}\"}}", prom_num(le)), cum as f64));
-            }
+            let mut lines: Vec<(String, f64)> = h
+                .buckets
+                .iter()
+                .map(|b| {
+                    cum += b.count;
+                    (format!("_bucket{{le=\"{}\"}}", prom_num(b.hi)), cum as f64)
+                })
+                .collect();
             lines.push(("_bucket{le=\"+Inf\"}".to_string(), h.count as f64));
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            for (suffix, v) in &lines {
-                out.push_str(&format!("{name}{suffix} {}\n", prom_num(*v)));
-            }
+            sample(&mut out, &name, "histogram", &lines);
             out.push_str(&format!("{name}_count {}\n", h.count));
         }
-        let families: [(&str, Vec<f64>); 7] = [
-            (
-                "mc.trace_chunks_done",
-                self.progress.iter().map(|p| p.chunks_done as f64).collect(),
-            ),
-            (
-                "mc.trace_chunks_total",
-                self.progress
-                    .iter()
-                    .map(|p| p.chunks_total as f64)
-                    .collect(),
-            ),
-            (
-                "mc.trace_samples_done",
-                self.progress
-                    .iter()
-                    .map(|p| p.samples_done as f64)
-                    .collect(),
-            ),
-            (
-                "mc.trace_samples_total",
-                self.progress
-                    .iter()
-                    .map(|p| p.samples_total as f64)
-                    .collect(),
-            ),
-            (
-                "mc.trace_estimate",
-                self.progress.iter().map(|p| p.value).collect(),
-            ),
-            (
-                "mc.trace_std_err",
-                self.progress.iter().map(|p| p.std_err).collect(),
-            ),
-            (
-                "mc.trace_ess",
-                self.progress.iter().map(|p| p.ess).collect(),
-            ),
+        type Family = (&'static str, fn(&TraceProgress) -> f64);
+        let families: [Family; 7] = [
+            ("mc.trace_chunks_done", |p| p.chunks_done as f64),
+            ("mc.trace_chunks_total", |p| p.chunks_total as f64),
+            ("mc.trace_samples_done", |p| p.samples_done as f64),
+            ("mc.trace_samples_total", |p| p.samples_total as f64),
+            ("mc.trace_estimate", |p| p.value),
+            ("mc.trace_std_err", |p| p.std_err),
+            ("mc.trace_ess", |p| p.ess),
         ];
-        for (name, values) in families {
+        for (name, value) in families {
             let lines: Vec<(String, f64)> = self
                 .progress
                 .iter()
-                .zip(values)
-                .map(|(p, v)| (format!("{{trace=\"{}\"}}", escape_label(&p.name)), v))
+                .map(|p| (format!("{{trace=\"{}\"}}", escape_label(&p.name)), value(p)))
                 .collect();
             sample(&mut out, &prom_name(name), "gauge", &lines);
         }
@@ -545,69 +444,40 @@ impl LiveSnapshot {
             .map(|(path, n)| (format!("{{path=\"{}\"}}", escape_label(path)), *n as f64))
             .collect();
         sample(&mut out, "pvtm_open_spans", "gauge", &open);
-        sample(
-            &mut out,
-            "pvtm_elapsed_seconds",
-            "gauge",
-            &[(String::new(), self.elapsed_secs)],
-        );
-        sample(
-            &mut out,
-            "pvtm_snapshot_epoch",
-            "gauge",
-            &[(String::new(), self.epoch as f64)],
-        );
-        sample(
+        one(&mut out, "pvtm_elapsed_seconds", "gauge", self.elapsed_secs);
+        one(&mut out, "pvtm_snapshot_epoch", "gauge", self.epoch as f64);
+        let quarantined = self.report.quarantine.len() as f64;
+        one(
             &mut out,
             "pvtm_mc_quarantined_total",
             "counter",
-            &[(String::new(), self.report.quarantine.len() as f64)],
+            quarantined,
         );
         out
     }
 
-    /// The `/healthz` verdict: one failure line per tripped axis, using
-    /// the same axes (and tags) as `pvtm-trace health` — LOW_ESS,
-    /// WEIGHT_DEGENERATE, STALLED, QUARANTINE_BIASED — against the
-    /// conservative default thresholds. Empty means healthy (HTTP 200).
+    /// The `/healthz` verdict: one failure line per tripped axis, each
+    /// prefixed by its tag (`LOW_ESS`, `WEIGHT_DEGENERATE`, `STALLED`,
+    /// `QUARANTINE_BIASED`), from the run-level `mc.*` gauges against
+    /// [`HealthEntry::CONSERVATIVE`] — the same check `pvtm-trace health`
+    /// makes per trace. Empty means healthy (HTTP 200).
     pub fn health_failures(&self) -> Vec<String> {
-        let gauge = |name: &str| {
-            self.report
-                .gauges
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|&(_, v)| v)
-        };
-        let mut out = Vec::new();
-        if let Some(v) = gauge("mc.ess_fraction") {
-            if v < HEALTHZ_MIN_ESS_FRACTION {
-                out.push(format!(
-                    "LOW_ESS ess_fraction {v:.4} (floor {HEALTHZ_MIN_ESS_FRACTION})"
-                ));
-            }
-        }
-        if let Some(v) = gauge("mc.max_weight_fraction") {
-            if v > HEALTHZ_MAX_WEIGHT_FRACTION {
-                out.push(format!(
-                    "WEIGHT_DEGENERATE max_weight_fraction {v:.4} (ceiling {HEALTHZ_MAX_WEIGHT_FRACTION})"
-                ));
-            }
-        }
-        if let Some(v) = gauge("mc.stall_ratio") {
-            if v > HEALTHZ_MAX_STALL_RATIO {
-                out.push(format!(
-                    "STALLED stall_ratio {v:.4} (ceiling {HEALTHZ_MAX_STALL_RATIO})"
-                ));
-            }
-        }
-        if let Some(v) = gauge("mc.quarantine_ci_share") {
-            if v > HEALTHZ_MAX_QUARANTINE_CI_SHARE {
-                out.push(format!(
-                    "QUARANTINE_BIASED quarantine_ci_share {v:.4} (ceiling {HEALTHZ_MAX_QUARANTINE_CI_SHARE})"
-                ));
-            }
-        }
-        out
+        let entry = HealthEntry::CONSERVATIVE;
+        HealthAxis::ALL
+            .into_iter()
+            .filter_map(|axis| {
+                let v = self.report.gauge(&format!("mc.{}", axis.metric()))?;
+                entry.trips(axis, v).then(|| {
+                    format!(
+                        "{} {} {v:.4} ({} {})",
+                        axis.tag(),
+                        axis.metric(),
+                        if axis.is_floor() { "floor" } else { "ceiling" },
+                        entry.limit(axis)
+                    )
+                })
+            })
+            .collect()
     }
 }
 
@@ -635,10 +505,7 @@ mod tests {
                     name: "mc.is_weight".to_string(),
                     count: 10,
                     underflow: 1,
-                    buckets: vec![
-                        HistBucket { log2: -1, count: 4 },
-                        HistBucket { log2: 0, count: 5 },
-                    ],
+                    buckets: vec![HistBucket::new(-1, 4), HistBucket::new(0, 5)],
                 }],
                 solver: SolverSummary {
                     solves: 3,
@@ -647,14 +514,8 @@ mod tests {
                     warm_attempts: 2,
                     warm_hits: 1,
                     cold_solves: 1,
-                    damped_retries: 0,
-                    source_ramps: 0,
-                    gmin_steps: 0,
-                    ramp_steps: 0,
-                    rescue_attempts: 0,
-                    rescue_hits: 0,
-                    rescue_rungs: 0,
                     warm_hit_rate: 0.5,
+                    ..SolverSummary::default()
                 },
                 traces: Vec::new(),
                 quarantine: Vec::new(),
@@ -784,12 +645,32 @@ pvtm_mc_quarantined_total 0
     }
 
     #[test]
-    fn update_scope_bumps_the_epoch() {
-        let before = EPOCH.load(Ordering::SeqCst);
-        update_scope(|| {
-            assert!(WRITERS.load(Ordering::SeqCst) >= 1);
-        });
-        assert!(EPOCH.load(Ordering::SeqCst) > before);
-        assert_eq!(WRITERS.load(Ordering::SeqCst), 0);
+    fn snapshot_json_reads_back_as_the_same_snapshot() {
+        let snap = fixture();
+        assert_eq!(LiveSnapshot::from_value(&snap.to_value()), Ok(snap.clone()));
+        // A sidecar is not a live snapshot.
+        let sidecar = snap.report.to_value("fig2a");
+        let e = LiveSnapshot::from_value(&sidecar).unwrap_err();
+        assert!(e.message.contains("live marker"), "{e}");
+    }
+
+    #[test]
+    fn a_chunk_and_its_health_are_one_update() {
+        let _g = crate::test_guard();
+        crate::set_mode(Mode::Summary);
+        crate::reset();
+        let _t = crate::trace_scope("epoch");
+        let h = crate::active_trace().unwrap();
+        let before = live().epoch;
+        let mut health = crate::HealthChunk::default();
+        health.observe(0.5);
+        let moments = crate::Moments::default();
+        crate::record_chunk(&h, 0, moments, Some(health));
+        let snap = live();
+        assert_eq!(snap.epoch, before + 1);
+        let p = &snap.progress[0];
+        assert_eq!((p.chunks_done, p.health_chunks, p.contributing), (1, 1, 1));
+        assert_eq!(p.ess, health.ess());
+        crate::set_mode(Mode::Off);
     }
 }

@@ -245,27 +245,15 @@ mod tests {
                     path: "par".into(),
                     count: 1,
                     total_ns: 1_000,
-                    child_ns: 4_000,
                     self_ns: 0,
-                    solves: 0,
-                    newton_iterations: 0,
-                    lu_factorizations: 0,
-                    cold_solves: 0,
-                    rescue_attempts: 0,
-                    rescue_hits: 0,
+                    ..Default::default()
                 },
                 crate::SpanRow {
                     path: "par/chunk".into(),
                     count: 4,
                     total_ns: 4_000,
-                    child_ns: 0,
                     self_ns: 4_000,
-                    solves: 0,
-                    newton_iterations: 0,
-                    lu_factorizations: 0,
-                    cold_solves: 0,
-                    rescue_attempts: 0,
-                    rescue_hits: 0,
+                    ..Default::default()
                 },
             ],
             counters: vec![],

@@ -25,16 +25,20 @@ fn journaled_run() -> String {
         let h = tm::active_trace().unwrap();
         tm::record_mc_start(&h, 100 * CHUNKS, CHUNKS);
         (0..CHUNKS).into_par_iter().for_each(|c| {
-            tm::record_chunk(&h, c, 100, c as f64 * 1e-3, 1e-6);
-            tm::record_chunk_health(
+            tm::record_chunk(
                 &h,
                 c,
-                tm::HealthChunk {
+                tm::Moments {
+                    n: 100,
+                    mean: c as f64 * 1e-3,
+                    m2: 1e-6,
+                },
+                Some(tm::HealthChunk {
                     fails: 3,
                     weight_sum: 0.3,
                     weight_sq_sum: 0.03,
                     weight_max: 0.1,
-                },
+                }),
             );
         });
     }
@@ -42,7 +46,7 @@ fn journaled_run() -> String {
         stream: 7,
         seed: 0xDEAD_BEEF,
         corner: 0.12,
-        kind: "no_convergence",
+        kind: "no_convergence".to_string(),
     });
     tm::events::render("det-test", &[("solves", Value::Num(1.0))])
 }
@@ -110,7 +114,12 @@ fn finalized_file_is_byte_identical_across_runs() {
             let h = tm::active_trace().unwrap();
             tm::record_mc_start(&h, 100 * CHUNKS, CHUNKS);
             (0..CHUNKS).into_par_iter().for_each(|c| {
-                tm::record_chunk(&h, c, 100, c as f64, 0.5);
+                let m = tm::Moments {
+                    n: 100,
+                    mean: c as f64,
+                    m2: 0.5,
+                };
+                tm::record_chunk(&h, c, m, None);
             });
         }
         tm::events::finalize_journal(&[]).unwrap().unwrap();

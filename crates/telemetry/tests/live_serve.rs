@@ -13,7 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 
 use pvtm_telemetry as tm;
-use pvtm_telemetry::json::{self, Value};
+use pvtm_telemetry::json;
 
 fn lock() -> MutexGuard<'static, ()> {
     // Telemetry state is process-global; serialize the tests in this binary.
@@ -54,16 +54,20 @@ fn seed_healthy_run() {
     let h = tm::active_trace().unwrap();
     tm::record_mc_start(&h, 4 * 4096, 4);
     for c in 0..4u64 {
-        tm::record_chunk(&h, c, 4096, 1e-3, 1e-6);
-        tm::record_chunk_health(
+        tm::record_chunk(
             &h,
             c,
-            tm::HealthChunk {
+            tm::Moments {
+                n: 4096,
+                mean: 1e-3,
+                m2: 1e-6,
+            },
+            Some(tm::HealthChunk {
                 fails: 100,
                 weight_sum: 1.0,
                 weight_sq_sum: 0.01,
                 weight_max: 0.01,
-            },
+            }),
         );
     }
     tm::counter_add("mc.samples", 4 * 4096);
@@ -102,12 +106,13 @@ fn serves_metrics_snapshot_and_healthz() {
     assert_eq!(status, 200);
     let doc = json::parse(body.trim_end()).expect("snapshot.json parses");
     assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
+        doc.str_at("schema"),
         Some("pvtm-telemetry/3"),
         "snapshot reuses the sidecar schema so sidecar consumers parse it"
     );
-    assert_eq!(doc.get("live").and_then(Value::as_bool), Some(true));
-    assert!(matches!(doc.get("progress"), Some(Value::Arr(p)) if p.len() == 1));
+    // Live marker and progress rows: it reads back as a live snapshot.
+    let snap = tm::snapshot::LiveSnapshot::from_value(&doc).expect("a live snapshot");
+    assert_eq!(snap.progress.len(), 1);
 
     let (status, body) = get(addr, "/healthz");
     assert_eq!(status, 200, "healthy run must pass /healthz: {body}");
@@ -139,9 +144,6 @@ fn healthz_answers_503_on_a_low_ess_run() {
         let h = tm::active_trace().unwrap();
         tm::record_mc_start(&h, 5 * 4096, 5);
         for c in 0..5u64 {
-            // Growing per-chunk variance keeps the merged CI half-width
-            // from shrinking root-n: every step counts as stalled.
-            tm::record_chunk(&h, c, 4096, 2e-3, 1e-4 * (c + 1) as f64 * (c + 1) as f64);
             // Chunk 0 carries one dominant weight (0.62 of the eventual
             // total), collapsing the ESS and the max-weight share.
             let h_chunk = if c == 0 {
@@ -159,7 +161,14 @@ fn healthz_answers_503_on_a_low_ess_run() {
                     weight_max: 0.05,
                 }
             };
-            tm::record_chunk_health(&h, c, h_chunk);
+            // Growing per-chunk variance keeps the merged CI half-width
+            // from shrinking root-n: every step counts as stalled.
+            let m = tm::Moments {
+                n: 4096,
+                mean: 2e-3,
+                m2: 1e-4 * (c + 1) as f64 * (c + 1) as f64,
+            };
+            tm::record_chunk(&h, c, m, Some(h_chunk));
         }
     }
     let server = tm::serve::start("127.0.0.1:0").expect("bind an ephemeral port");

@@ -12,6 +12,10 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+fn moments(n: u64, mean: f64, m2: f64) -> tm::Moments {
+    tm::Moments { n, mean, m2 }
+}
+
 fn parallel_workload(items: usize) -> tm::Report {
     tm::reset();
     let _figure = tm::span("workload");
@@ -95,7 +99,7 @@ fn trace_chunks_recorded_from_workers_reconstruct_in_order() {
         // same pattern the Monte-Carlo chunk loops use.
         let handle = tm::active_trace().unwrap();
         (0..8u64).into_par_iter().for_each(|c| {
-            tm::record_chunk(&handle, c, 100, c as f64, 0.0);
+            tm::record_chunk(&handle, c, moments(100, c as f64, 0.0), None);
         });
     }
 
@@ -262,7 +266,7 @@ fn chan_merge_reconstruction_is_chunk_order_independent() {
             let h = tm::active_trace().unwrap();
             for &i in order {
                 let (c, n, mean, m2) = chunks[i];
-                tm::record_chunk(&h, c, n, mean, m2);
+                tm::record_chunk(&h, c, moments(n, mean, m2), None);
             }
         }
         tm::snapshot().trace("order.trace").unwrap().clone()
@@ -287,7 +291,7 @@ fn chan_merge_reconstruction_is_chunk_order_independent() {
         let _t = tm::trace_scope("order.trace");
         let h = tm::active_trace().unwrap();
         chunks.par_iter().for_each(|&(c, n, mean, m2)| {
-            tm::record_chunk(&h, c, n, mean, m2);
+            tm::record_chunk(&h, c, moments(n, mean, m2), None);
         });
     }
     let parallel = tm::snapshot().trace("order.trace").unwrap().clone();

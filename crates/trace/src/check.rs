@@ -16,11 +16,9 @@
 //!   the diff of `perf-budgets.json` is then reviewed like any other.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use pvtm_telemetry::json::{self, Value};
-
-use crate::sidecar::Sidecar;
+use pvtm_telemetry::{SchemaError, Sidecar};
 
 /// The budget metrics maintained by `--update-budgets`: the solver work
 /// counters that are deterministic under a fixed seed.
@@ -30,21 +28,6 @@ pub const DEFAULT_METRICS: &[&str] = &[
     "solver.lu_factorizations",
     "solver.cold_solves",
 ];
-
-/// Budget-file rejection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BudgetError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for BudgetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
-impl std::error::Error for BudgetError {}
 
 /// Parsed `perf-budgets.json`: figure id → metric name → ceiling.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -59,30 +42,26 @@ impl Budgets {
     /// # Errors
     ///
     /// Fails on malformed JSON or the wrong `schema` marker.
-    pub fn parse(text: &str) -> Result<Budgets, BudgetError> {
-        let doc = json::parse(text).map_err(|e| BudgetError {
-            message: format!("malformed perf-budgets JSON: {e}"),
-        })?;
-        if doc.get("schema").and_then(Value::as_str) != Some("pvtm-perf-budgets/1") {
-            return Err(BudgetError {
-                message: "perf-budgets file must have schema \"pvtm-perf-budgets/1\"".into(),
-            });
+    pub fn parse(text: &str) -> Result<Budgets, SchemaError> {
+        let doc = json::parse(text)
+            .map_err(|e| SchemaError::new(format!("malformed perf-budgets JSON: {e}")))?;
+        if doc.str_at("schema") != Some("pvtm-perf-budgets/1") {
+            return Err(SchemaError::new(
+                "perf-budgets file must have schema \"pvtm-perf-budgets/1\"",
+            ));
         }
-        let mut figures = BTreeMap::new();
-        if let Some(Value::Obj(figs)) = doc.get("budgets") {
-            for (id, metrics) in figs {
-                let mut map = BTreeMap::new();
-                if let Value::Obj(members) = metrics {
-                    for (name, v) in members {
-                        if let Some(n) = v.as_u64() {
-                            map.insert(name.clone(), n);
-                        }
-                    }
-                }
-                figures.insert(id.clone(), map);
-            }
-        }
-        Ok(Budgets { figures })
+        let ceilings = |metrics: &Value| {
+            let members = metrics.as_object().unwrap_or(&[]).iter();
+            members
+                .filter_map(|(name, v)| Some((name.clone(), v.as_u64()?)))
+                .collect()
+        };
+        let figures = doc.members("budgets").iter();
+        Ok(Budgets {
+            figures: figures
+                .map(|(id, metrics)| (id.clone(), ceilings(metrics)))
+                .collect(),
+        })
     }
 
     /// Renders the canonical pretty JSON form (BTreeMap ordering makes
@@ -113,18 +92,20 @@ impl Budgets {
     }
 }
 
-/// Result of checking sidecars against budgets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckOutcome {
+/// Result of a budget gate (`check` or `health`): findings and pass/fail.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GateOutcome {
     /// Human-readable findings, one per line.
     pub text: String,
-    /// Hard failures: budget exceeded, or no budget for a figure.
+    /// Hard failures: a budget or threshold crossed, or no entry for a
+    /// figure.
     pub violations: usize,
-    /// Advisory slack notes: observed below the ceiling.
-    pub slack_notes: usize,
+    /// Advisory notes: slack under a perf budget, or a sidecar without
+    /// estimator-health data.
+    pub notes: usize,
 }
 
-impl CheckOutcome {
+impl GateOutcome {
     /// Whether the gate fails.
     pub fn failed(&self) -> bool {
         self.violations > 0
@@ -132,12 +113,8 @@ impl CheckOutcome {
 }
 
 /// Checks each sidecar against its figure's budgets.
-pub fn check(budgets: &Budgets, sidecars: &[Sidecar]) -> CheckOutcome {
-    let mut out = CheckOutcome {
-        text: String::new(),
-        violations: 0,
-        slack_notes: 0,
-    };
+pub fn check(budgets: &Budgets, sidecars: &[Sidecar]) -> GateOutcome {
+    let mut out = GateOutcome::default();
     for sc in sidecars {
         let Some(figure) = budgets.figures.get(&sc.id) else {
             out.violations += 1;
@@ -148,7 +125,7 @@ pub fn check(budgets: &Budgets, sidecars: &[Sidecar]) -> CheckOutcome {
             continue;
         };
         for (metric, &max) in figure {
-            let observed = sc.metric(metric).unwrap_or(0);
+            let observed = sc.report.metric(metric).unwrap_or(0);
             if observed > max {
                 out.violations += 1;
                 out.text.push_str(&format!(
@@ -157,7 +134,7 @@ pub fn check(budgets: &Budgets, sidecars: &[Sidecar]) -> CheckOutcome {
                     observed - max
                 ));
             } else if observed < max {
-                out.slack_notes += 1;
+                out.notes += 1;
                 out.text.push_str(&format!(
                     "note {}: {metric} = {observed} is under budget {max} (-{}) — \
                      ratchet down with --update-budgets\n",
@@ -187,7 +164,7 @@ pub fn update_budgets(budgets: &Budgets, sidecars: &[Sidecar]) -> Budgets {
             .chain(entry.keys().cloned())
             .collect();
         for name in names {
-            let observed = sc.metric(&name).unwrap_or(0);
+            let observed = sc.report.metric(&name).unwrap_or(0);
             entry.insert(name, observed);
         }
     }
@@ -197,26 +174,15 @@ pub fn update_budgets(budgets: &Budgets, sidecars: &[Sidecar]) -> Budgets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     fn sidecar(id: &str, solves: u64, newton: u64) -> Sidecar {
-        Sidecar {
-            id: id.into(),
-            mode: "full".into(),
-            clock: false,
-            schema_version: 2,
-            solver: BTreeMap::from([
-                ("solves".to_string(), solves),
-                ("newton_iterations".to_string(), newton),
-                ("lu_factorizations".to_string(), 7),
-                ("cold_solves".to_string(), 2),
-            ]),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: Vec::new(),
-            spans: Vec::new(),
-            traces: Vec::new(),
-        }
+        Sidecar::parse(&format!(
+            r#"{{"schema": "pvtm-telemetry/2", "schema_version": 2, "id": "{id}",
+                "mode": "full", "clock": false,
+                "solver": {{"solves": {solves}, "newton_iterations": {newton},
+                           "lu_factorizations": 7, "cold_solves": 2}}}}"#
+        ))
+        .expect("test sidecar parses")
     }
 
     #[test]
@@ -234,7 +200,7 @@ mod tests {
         let b = update_budgets(&Budgets::default(), std::slice::from_ref(&sc));
         let out = check(&b, &[sc]);
         assert!(!out.failed());
-        assert_eq!(out.slack_notes, 0);
+        assert_eq!(out.notes, 0);
     }
 
     #[test]
@@ -252,7 +218,7 @@ mod tests {
         let b = update_budgets(&Budgets::default(), &[sidecar("fig2a", 100, 321)]);
         let out = check(&b, &[sidecar("fig2a", 100, 300)]);
         assert!(!out.failed());
-        assert_eq!(out.slack_notes, 1);
+        assert_eq!(out.notes, 1);
         assert!(out.text.contains("ratchet down"));
     }
 
@@ -274,7 +240,7 @@ mod tests {
     #[test]
     fn update_keeps_counter_budgets() {
         let mut sc = sidecar("fig9", 5, 9);
-        sc.counters.insert("bist.ops".into(), 640);
+        sc.report.counters.push(("bist.ops".into(), 640));
         let mut b = update_budgets(&Budgets::default(), std::slice::from_ref(&sc));
         assert!(!b.figures["fig9"].contains_key("counter.bist.ops"));
         b.figures
@@ -284,7 +250,7 @@ mod tests {
         let b2 = update_budgets(&b, std::slice::from_ref(&sc));
         assert_eq!(b2.figures["fig9"]["counter.bist.ops"], 640);
         assert_eq!(b2.figures["fig9"]["solver.solves"], 5);
-        sc.counters.insert("bist.ops".into(), 700);
+        sc.report.counters[0].1 = 700;
         assert!(check(&b2, &[sc]).failed());
     }
 

@@ -12,10 +12,10 @@
 
 use std::collections::BTreeSet;
 
-use crate::sidecar::Sidecar;
+use pvtm_telemetry::{Report, Sidecar, SpanRow};
 
 /// Result of diffing two sidecars.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiffOutcome {
     /// Human-readable diff, one finding per line.
     pub text: String,
@@ -57,12 +57,7 @@ fn fmt_delta(out: &mut DiffOutcome, name: &str, old: u64, new: u64) {
 /// Diffs `old` against `new` with the given relative wall-clock
 /// tolerance (e.g. `0.2` flags spans that got ≥20 % slower).
 pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
-    let mut out = DiffOutcome {
-        text: String::new(),
-        counter_changes: 0,
-        regressions: 0,
-        time_flags: 0,
-    };
+    let mut out = DiffOutcome::default();
     out.text
         .push_str(&format!("diff {} (old) vs {} (new)\n", old.id, new.id));
     if old.schema_version != new.schema_version {
@@ -73,48 +68,46 @@ pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
     }
 
     out.text.push_str("work counters (exact):\n");
-    let solver_keys: BTreeSet<&String> = old.solver.keys().chain(new.solver.keys()).collect();
-    for k in solver_keys {
-        fmt_delta(
-            &mut out,
-            &format!("solver.{k}"),
-            old.solver_counter(k),
-            new.solver_counter(k),
-        );
+    let (o, n) = (&old.report, &new.report);
+    let mut solver: Vec<_> = o
+        .solver
+        .counters()
+        .into_iter()
+        .zip(n.solver.counters())
+        .collect();
+    solver.sort_unstable_by_key(|&((field, _), _)| field);
+    for ((field, ov), (_, nv)) in solver {
+        fmt_delta(&mut out, &format!("solver.{field}"), ov, nv);
     }
-    let counter_keys: BTreeSet<&String> = old.counters.keys().chain(new.counters.keys()).collect();
+    let counter_keys: BTreeSet<&String> = o
+        .counters
+        .iter()
+        .chain(&n.counters)
+        .map(|(k, _)| k)
+        .collect();
     for k in counter_keys {
         fmt_delta(
             &mut out,
             &format!("counter.{k}"),
-            old.counters.get(k).copied().unwrap_or(0),
-            new.counters.get(k).copied().unwrap_or(0),
+            o.counter(k),
+            n.counter(k),
         );
     }
     // Per-span solver attribution: where the extra work landed.
-    let span_paths: BTreeSet<&String> = old
-        .spans
-        .iter()
-        .map(|s| &s.path)
-        .chain(new.spans.iter().map(|s| &s.path))
-        .collect();
+    let span_paths: BTreeSet<&String> = o.spans.iter().chain(&n.spans).map(|s| &s.path).collect();
+    let span_work = |r: &Report, path: &str, f: fn(&SpanRow) -> u64| r.span(path).map_or(0, f);
     for path in &span_paths {
-        let o = old.spans.iter().find(|s| &&s.path == path);
-        let n = new.spans.iter().find(|s| &&s.path == path);
-        let get = |s: Option<&&crate::sidecar::Span>, f: fn(&crate::sidecar::Span) -> u64| {
-            s.map(|s| f(s)).unwrap_or(0)
-        };
         fmt_delta(
             &mut out,
             &format!("span[{path}].newton_iterations"),
-            get(o.as_ref(), |s| s.newton_iterations),
-            get(n.as_ref(), |s| s.newton_iterations),
+            span_work(o, path, |s| s.newton_iterations),
+            span_work(n, path, |s| s.newton_iterations),
         );
         fmt_delta(
             &mut out,
             &format!("span[{path}].solves"),
-            get(o.as_ref(), |s| s.solves),
-            get(n.as_ref(), |s| s.solves),
+            span_work(o, path, |s| s.solves),
+            span_work(n, path, |s| s.solves),
         );
     }
     if out.counter_changes == 0 {
@@ -125,25 +118,15 @@ pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
         "wall-clock (advisory, ±{:.0}% tolerance):\n",
         100.0 * time_tolerance
     ));
-    if !old.clock || !new.clock {
+    if !o.clock || !n.clock {
         out.text
             .push_str("  (skipped — at least one run had the clock gated off)\n");
         return out;
     }
     let mut flagged = false;
     for path in &span_paths {
-        let o_ns = old
-            .spans
-            .iter()
-            .find(|s| &&s.path == path)
-            .map(|s| s.total_ns)
-            .unwrap_or(0);
-        let n_ns = new
-            .spans
-            .iter()
-            .find(|s| &&s.path == path)
-            .map(|s| s.total_ns)
-            .unwrap_or(0);
+        let o_ns = span_work(o, path, |s| s.total_ns);
+        let n_ns = span_work(n, path, |s| s.total_ns);
         if o_ns == 0 {
             continue;
         }
@@ -169,33 +152,18 @@ pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sidecar::Span;
-    use std::collections::BTreeMap;
 
     fn base() -> Sidecar {
-        Sidecar {
-            id: "fig".into(),
-            mode: "full".into(),
-            clock: true,
-            schema_version: 2,
-            solver: BTreeMap::from([("solves".to_string(), 100), ("cold_solves".to_string(), 4)]),
-            counters: BTreeMap::from([("mc.samples".to_string(), 4096)]),
-            gauges: BTreeMap::new(),
-            histograms: Vec::new(),
-            spans: vec![Span {
-                path: "fig".into(),
-                count: 1,
-                total_ns: 1_000_000,
-                self_ns: 1_000_000,
-                solves: 100,
-                newton_iterations: 300,
-                lu_factorizations: 300,
-                cold_solves: 4,
-                rescue_attempts: 0,
-                rescue_hits: 0,
-            }],
-            traces: Vec::new(),
-        }
+        Sidecar::parse(
+            r#"{"schema": "pvtm-telemetry/2", "schema_version": 2, "id": "fig",
+                "mode": "full", "clock": true,
+                "solver": {"solves": 100, "cold_solves": 4},
+                "counters": {"mc.samples": 4096},
+                "spans": [{"path": "fig", "count": 1, "total_ns": 1000000,
+                           "self_ns": 1000000, "solves": 100, "newton_iterations": 300,
+                           "lu_factorizations": 300, "cold_solves": 4}]}"#,
+        )
+        .expect("base sidecar parses")
     }
 
     #[test]
@@ -212,7 +180,7 @@ mod tests {
     fn counter_increase_is_a_regression() {
         let a = base();
         let mut b = base();
-        b.solver.insert("solves".into(), 120);
+        b.report.solver.solves = 120;
         let out = diff(&a, &b, 0.2);
         assert!(out.failed());
         assert!(out.text.contains("REGRESSION solver.solves: 100 -> 120"));
@@ -222,7 +190,7 @@ mod tests {
     fn counter_decrease_is_an_improvement_not_a_failure() {
         let a = base();
         let mut b = base();
-        b.solver.insert("cold_solves".into(), 1);
+        b.report.solver.cold_solves = 1;
         let out = diff(&a, &b, 0.2);
         assert!(!out.failed());
         assert_eq!(out.counter_changes, 1);
@@ -233,7 +201,7 @@ mod tests {
     fn slow_span_is_advisory_only() {
         let a = base();
         let mut b = base();
-        b.spans[0].total_ns = 2_000_000;
+        b.report.spans[0].total_ns = 2_000_000;
         let out = diff(&a, &b, 0.2);
         assert!(!out.failed(), "wall-clock never fails the diff");
         assert_eq!(out.time_flags, 1);
@@ -243,7 +211,7 @@ mod tests {
     #[test]
     fn clock_off_skips_wall_clock_section() {
         let mut a = base();
-        a.clock = false;
+        a.report.clock = false;
         let out = diff(&a, &a, 0.2);
         assert!(out.text.contains("clock gated off"));
         assert_eq!(out.time_flags, 0);

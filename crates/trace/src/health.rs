@@ -22,82 +22,19 @@
 //!
 //! Figures resolve their entry by id, falling back to `"default"`; the
 //! ratchet (`--update-budgets`) rewrites only per-figure entries, leaving
-//! `"default"` as the hand-maintained floor for new figures.
+//! `"default"` as the hand-maintained floor for new figures. The entry
+//! type and the per-axis verdict live in `pvtm-telemetry`
+//! ([`HealthEntry`], [`HealthAxis`]), shared with the live `/healthz`.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use pvtm_telemetry::json::{self, Value};
+use pvtm_telemetry::{HealthAxis, HealthEntry, SchemaError, Sidecar};
 
-use crate::sidecar::Sidecar;
+use crate::check::GateOutcome;
 
 /// Name of the fallback budget entry.
 pub const DEFAULT_ENTRY: &str = "default";
-
-/// Budget-file rejection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HealthBudgetError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for HealthBudgetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
-impl std::error::Error for HealthBudgetError {}
-
-/// One figure's health thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthEntry {
-    /// Floor on per-trace `ess_fraction` (weighted traces only).
-    pub min_ess_fraction: f64,
-    /// Ceiling on per-trace `max_weight_fraction` (weighted traces only).
-    pub max_weight_fraction: f64,
-    /// Ceiling on per-trace `stall_ratio`.
-    pub max_stall_ratio: f64,
-    /// Ceiling on the `mc.quarantine_ci_share` gauge.
-    pub max_quarantine_ci_share: f64,
-}
-
-impl Default for HealthEntry {
-    /// Permissive defaults: everything passes until a budget tightens it.
-    fn default() -> Self {
-        HealthEntry {
-            min_ess_fraction: 0.0,
-            max_weight_fraction: 1.0,
-            max_stall_ratio: 1.0,
-            max_quarantine_ci_share: 1.0,
-        }
-    }
-}
-
-impl HealthEntry {
-    fn from_value(v: &Value) -> HealthEntry {
-        let f = |key: &str, fallback: f64| v.get(key).and_then(Value::as_f64).unwrap_or(fallback);
-        let d = HealthEntry::default();
-        HealthEntry {
-            min_ess_fraction: f("min_ess_fraction", d.min_ess_fraction),
-            max_weight_fraction: f("max_weight_fraction", d.max_weight_fraction),
-            max_stall_ratio: f("max_stall_ratio", d.max_stall_ratio),
-            max_quarantine_ci_share: f("max_quarantine_ci_share", d.max_quarantine_ci_share),
-        }
-    }
-
-    fn to_value(self) -> Value {
-        json::obj(vec![
-            ("min_ess_fraction", Value::Num(self.min_ess_fraction)),
-            ("max_weight_fraction", Value::Num(self.max_weight_fraction)),
-            ("max_stall_ratio", Value::Num(self.max_stall_ratio)),
-            (
-                "max_quarantine_ci_share",
-                Value::Num(self.max_quarantine_ci_share),
-            ),
-        ])
-    }
-}
 
 /// Parsed `health-budgets.json`: entry name (`"default"` or a figure id)
 /// → thresholds.
@@ -113,22 +50,20 @@ impl HealthBudgets {
     /// # Errors
     ///
     /// Fails on malformed JSON or the wrong `schema` marker.
-    pub fn parse(text: &str) -> Result<HealthBudgets, HealthBudgetError> {
-        let doc = json::parse(text).map_err(|e| HealthBudgetError {
-            message: format!("malformed health-budgets JSON: {e}"),
-        })?;
-        if doc.get("schema").and_then(Value::as_str) != Some("pvtm-health-budgets/1") {
-            return Err(HealthBudgetError {
-                message: "health-budgets file must have schema \"pvtm-health-budgets/1\"".into(),
-            });
+    pub fn parse(text: &str) -> Result<HealthBudgets, SchemaError> {
+        let doc = json::parse(text)
+            .map_err(|e| SchemaError::new(format!("malformed health-budgets JSON: {e}")))?;
+        if doc.str_at("schema") != Some("pvtm-health-budgets/1") {
+            return Err(SchemaError::new(
+                "health-budgets file must have schema \"pvtm-health-budgets/1\"",
+            ));
         }
-        let mut entries = BTreeMap::new();
-        if let Some(Value::Obj(members)) = doc.get("budgets") {
-            for (name, v) in members {
-                entries.insert(name.clone(), HealthEntry::from_value(v));
-            }
-        }
-        Ok(HealthBudgets { entries })
+        let entries = doc.members("budgets").iter();
+        Ok(HealthBudgets {
+            entries: entries
+                .map(|(name, v)| (name.clone(), HealthEntry::from_value(v)))
+                .collect(),
+        })
     }
 
     /// Renders the canonical pretty JSON form.
@@ -157,28 +92,11 @@ impl HealthBudgets {
     }
 }
 
-/// Result of the health gate: the confidence ledger plus pass/fail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HealthOutcome {
-    /// The confidence ledger, one line per trace/metric finding.
-    pub text: String,
-    /// Hard failures: threshold crossed, or no budget entry at all.
-    pub violations: usize,
-    /// Advisory notes (pre-v3 sidecars with no health data).
-    pub notes: usize,
-}
-
-impl HealthOutcome {
-    /// Whether the gate fails.
-    pub fn failed(&self) -> bool {
-        self.violations > 0
-    }
-}
-
-fn verdict(out: &mut HealthOutcome, bad: bool, id: &str, tag: &str, detail: String) {
+fn verdict(out: &mut GateOutcome, bad: bool, id: &str, axis: HealthAxis, detail: String) {
     if bad {
         out.violations += 1;
-        out.text.push_str(&format!("FAIL {id}: {tag} — {detail}\n"));
+        out.text
+            .push_str(&format!("FAIL {id}: {} — {detail}\n", axis.tag()));
     } else {
         out.text.push_str(&format!("ok   {id}: {detail}\n"));
     }
@@ -186,12 +104,8 @@ fn verdict(out: &mut HealthOutcome, bad: bool, id: &str, tag: &str, detail: Stri
 
 /// Checks each sidecar's estimator health against its figure's budget
 /// entry, rendering the per-figure confidence ledger.
-pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthOutcome {
-    let mut out = HealthOutcome {
-        text: String::new(),
-        violations: 0,
-        notes: 0,
-    };
+pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> GateOutcome {
+    let mut out = GateOutcome::default();
     for sc in sidecars {
         let Some((source, entry)) = budgets.entry_for(&sc.id) else {
             out.violations += 1;
@@ -204,6 +118,7 @@ pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthOutc
         out.text
             .push_str(&format!("== {} (thresholds from {:?}) ==\n", sc.id, source));
         let with_health: Vec<_> = sc
+            .report
             .traces
             .iter()
             .filter_map(|t| t.health.map(|h| (t.name.as_str(), h)))
@@ -219,9 +134,9 @@ pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthOutc
             if h.has_weights {
                 verdict(
                     &mut out,
-                    h.ess_fraction < entry.min_ess_fraction,
+                    entry.trips(HealthAxis::LowEss, h.ess_fraction),
                     &sc.id,
-                    "LOW_ESS",
+                    HealthAxis::LowEss,
                     format!(
                         "{name}: ess_fraction {:.4} (floor {:.4}, ess {:.1} of {} contributing)",
                         h.ess_fraction, entry.min_ess_fraction, h.ess, h.contributing
@@ -229,9 +144,9 @@ pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthOutc
                 );
                 verdict(
                     &mut out,
-                    h.max_weight_fraction > entry.max_weight_fraction,
+                    entry.trips(HealthAxis::WeightDegenerate, h.max_weight_fraction),
                     &sc.id,
-                    "WEIGHT_DEGENERATE",
+                    HealthAxis::WeightDegenerate,
                     format!(
                         "{name}: max_weight_fraction {:.4} (ceiling {:.4})",
                         h.max_weight_fraction, entry.max_weight_fraction
@@ -240,21 +155,21 @@ pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthOutc
             }
             verdict(
                 &mut out,
-                h.stall_ratio > entry.max_stall_ratio,
+                entry.trips(HealthAxis::Stalled, h.stall_ratio),
                 &sc.id,
-                "STALLED",
+                HealthAxis::Stalled,
                 format!(
                     "{name}: stall_ratio {:.4} (ceiling {:.4}, {}/{} steps)",
                     h.stall_ratio, entry.max_stall_ratio, h.stalled_steps, h.steps
                 ),
             );
         }
-        if let Some(share) = sc.gauge("mc.quarantine_ci_share") {
+        if let Some(share) = sc.report.gauge("mc.quarantine_ci_share") {
             verdict(
                 &mut out,
-                share > entry.max_quarantine_ci_share,
+                entry.trips(HealthAxis::QuarantineBiased, share),
                 &sc.id,
-                "QUARANTINE_BIASED",
+                HealthAxis::QuarantineBiased,
                 format!(
                     "quarantine_ci_share {:.4} (ceiling {:.4})",
                     share, entry.max_quarantine_ci_share
@@ -286,10 +201,10 @@ pub fn update_health_budgets(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> H
             min_ess_fraction: 1.0,
             max_weight_fraction: 0.0,
             max_stall_ratio: 0.0,
-            max_quarantine_ci_share: sc.gauge("mc.quarantine_ci_share").unwrap_or(0.0),
+            max_quarantine_ci_share: sc.report.gauge("mc.quarantine_ci_share").unwrap_or(0.0),
         };
         let mut weighted = false;
-        for h in sc.traces.iter().filter_map(|t| t.health) {
+        for h in sc.report.traces.iter().filter_map(|t| t.health) {
             if h.has_weights {
                 weighted = true;
                 e.min_ess_fraction = e.min_ess_fraction.min(h.ess_fraction);
@@ -315,8 +230,7 @@ pub fn update_health_budgets(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> H
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sidecar::{Trace, TraceHealth, TracePoint};
-    use std::collections::BTreeMap;
+    use pvtm_telemetry::TraceHealth;
 
     fn health(ess_fraction: f64, max_weight_fraction: f64, stall_ratio: f64) -> TraceHealth {
         TraceHealth {
@@ -332,27 +246,15 @@ mod tests {
     }
 
     fn sidecar(id: &str, h: Option<TraceHealth>) -> Sidecar {
-        Sidecar {
-            id: id.into(),
-            mode: "full".into(),
-            clock: false,
-            schema_version: 3,
-            solver: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: Vec::new(),
-            spans: Vec::new(),
-            traces: vec![Trace {
-                name: format!("{id}.mc"),
-                points: vec![TracePoint {
-                    chunk: 0,
-                    samples: 4096,
-                    value: 1e-4,
-                    std_err: 1e-5,
-                }],
-                health: h,
-            }],
-        }
+        let mut sc = Sidecar::parse(&format!(
+            r#"{{"schema": "pvtm-telemetry/3", "schema_version": 3, "id": "{id}",
+                "mode": "full", "clock": false,
+                "traces": [{{"name": "{id}.mc", "points": [
+                    {{"chunk": 0, "samples": 4096, "value": 1e-4, "std_err": 1e-5}}]}}]}}"#
+        ))
+        .expect("test sidecar parses");
+        sc.report.traces[0].health = h;
+        sc
     }
 
     fn budgets(entry: &str, e: HealthEntry) -> HealthBudgets {
@@ -375,6 +277,19 @@ mod tests {
     #[test]
     fn rejects_wrong_schema() {
         assert!(HealthBudgets::parse(r#"{"schema": "nope", "budgets": {}}"#).is_err());
+    }
+
+    #[test]
+    fn checked_in_default_entry_is_the_live_healthz_entry() {
+        // `/healthz` checks live runs against `HealthEntry::CONSERVATIVE`;
+        // the file's "default" entry must say the same, or the live and
+        // the CI verdicts drift apart.
+        let file = HealthBudgets::parse(include_str!("../../../health-budgets.json"))
+            .expect("health-budgets.json parses");
+        assert_eq!(
+            file.entries.get(DEFAULT_ENTRY),
+            Some(&HealthEntry::CONSERVATIVE)
+        );
     }
 
     #[test]
@@ -426,7 +341,9 @@ mod tests {
             },
         );
         let mut sc = sidecar("fig2a", Some(health(0.9, 0.02, 0.0)));
-        sc.gauges.insert("mc.quarantine_ci_share".into(), 0.4);
+        sc.report
+            .gauges
+            .push(("mc.quarantine_ci_share".into(), 0.4));
         let out = health_check(&b, &[sc]);
         assert!(out.failed());
         assert!(out.text.contains("QUARANTINE_BIASED"));

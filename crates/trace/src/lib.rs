@@ -1,8 +1,9 @@
 //! `pvtm-trace` — the consumer half of the workspace's observability loop.
 //!
 //! `pvtm-telemetry` (the producer) writes one `results/<id>.telemetry.json`
-//! sidecar per figure run. This crate reads those sidecars back and turns
-//! them into decisions:
+//! sidecar per figure run and defines the types that read it back
+//! ([`Sidecar`]), the live snapshot, and the estimator-health verdict.
+//! This crate turns those documents into decisions:
 //!
 //! - [`report`] renders a hot-span table (sorted by self-time, or by Newton
 //!   iterations when the run was clock-gated) and folded flamegraph stacks;
@@ -33,14 +34,13 @@ pub mod check;
 pub mod diff;
 pub mod health;
 pub mod report;
-pub mod sidecar;
 pub mod tail;
 pub mod top;
 
-pub use check::{check, update_budgets, Budgets, CheckOutcome};
+pub use check::{check, update_budgets, Budgets, GateOutcome};
 pub use diff::{diff, DiffOutcome};
-pub use health::{health_check, update_health_budgets, HealthBudgets, HealthOutcome};
+pub use health::{health_check, update_health_budgets, HealthBudgets};
+pub use pvtm_telemetry::Sidecar;
 pub use report::{folded_stacks, hot_span_table};
-pub use sidecar::{Sidecar, SidecarError, Span};
 pub use tail::{snapshot, Journal, Snapshot};
-pub use top::{fetch_live, parse_source, render_journal, render_live, LiveFrame, Source};
+pub use top::{fetch_live, parse_source, render_journal, render_live, Source};

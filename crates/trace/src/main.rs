@@ -14,10 +14,11 @@
 
 use std::process::ExitCode;
 
+use pvtm_telemetry::SchemaError;
 use pvtm_trace::{
     check, diff, fetch_live, folded_stacks, health_check, hot_span_table, parse_source,
     render_journal, render_live, snapshot, update_budgets, update_health_budgets, Budgets,
-    HealthBudgets, Journal, Sidecar, Source,
+    GateOutcome, HealthBudgets, Journal, Sidecar, Source,
 };
 
 const USAGE: &str = "usage:
@@ -49,8 +50,27 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "report" => cmd_report(&args[1..]),
         "diff" => cmd_diff(&args[1..]),
-        "check" => cmd_check(&args[1..]),
-        "health" => cmd_health(&args[1..]),
+        "check" => cmd_gate(
+            "check",
+            &args[1..],
+            Budgets::parse,
+            update_budgets,
+            Budgets::to_json_pretty,
+            check,
+            |out| match out.notes {
+                0 => "within budget",
+                _ => "within budget (slack available; see notes)",
+            },
+        ),
+        "health" => cmd_gate(
+            "health",
+            &args[1..],
+            HealthBudgets::parse,
+            update_health_budgets,
+            HealthBudgets::to_json_pretty,
+            health_check,
+            |_| "within confidence thresholds",
+        ),
         "tail" => cmd_tail(&args[1..]),
         "top" => cmd_top(&args[1..]),
         other => usage(&format!("unknown subcommand {other:?}")),
@@ -121,31 +141,42 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_check(args: &[String]) -> ExitCode {
-    let mut update = false;
+/// `check` and `health`: gate sidecars against a budgets file, or record
+/// the file from them with `--update-budgets`. `within` words the pass
+/// line.
+fn cmd_gate<B: Default>(
+    cmd: &str,
+    args: &[String],
+    parse: fn(&str) -> Result<B, SchemaError>,
+    update: fn(&B, &[Sidecar]) -> B,
+    render: fn(&B) -> String,
+    gate: fn(&B, &[Sidecar]) -> GateOutcome,
+    within: fn(&GateOutcome) -> &'static str,
+) -> ExitCode {
+    let mut update_budgets = false;
     let mut paths = Vec::new();
     for a in args {
         if a == "--update-budgets" {
-            update = true;
+            update_budgets = true;
         } else {
             paths.push(a.clone());
         }
     }
     let [budget_path, sidecar_paths @ ..] = paths.as_slice() else {
-        return usage("check needs a budgets file");
+        return usage(&format!("{cmd} needs a budgets file"));
     };
     if sidecar_paths.is_empty() {
-        return usage("check needs at least one sidecar");
+        return usage(&format!("{cmd} needs at least one sidecar"));
     }
     // A missing budgets file is fine with --update-budgets (first ratchet).
     let budgets = match std::fs::read_to_string(budget_path) {
-        Ok(text) => match Budgets::parse(&text) {
+        Ok(text) => match parse(&text) {
             Ok(b) => b,
             Err(e) => return usage(&format!("{budget_path}: {e}")),
         },
-        Err(e) if update => {
-            eprintln!("pvtm-trace check: starting fresh budgets ({budget_path}: {e})");
-            Budgets::default()
+        Err(e) if update_budgets => {
+            eprintln!("pvtm-trace {cmd}: starting fresh budgets ({budget_path}: {e})");
+            B::default()
         }
         Err(e) => return usage(&format!("cannot read {budget_path}: {e}")),
     };
@@ -157,93 +188,33 @@ fn cmd_check(args: &[String]) -> ExitCode {
         }
     }
 
-    if update {
-        let next = update_budgets(&budgets, &sidecars);
-        if let Err(e) = std::fs::write(budget_path, next.to_json_pretty()) {
+    if update_budgets {
+        let next = update(&budgets, &sidecars);
+        if let Err(e) = std::fs::write(budget_path, render(&next)) {
             return usage(&format!("cannot write {budget_path}: {e}"));
         }
-        println!(
-            "pvtm-trace check: recorded budgets for {} figure(s) in {budget_path}",
-            sidecars.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let out = check(&budgets, &sidecars);
-    print!("{}", out.text);
-    if out.failed() {
-        eprintln!("pvtm-trace check: FAIL — {} violation(s)", out.violations);
-        ExitCode::from(EXIT_GATE)
-    } else {
-        println!(
-            "pvtm-trace check: OK — {} figure(s) within budget{}",
-            sidecars.len(),
-            if out.slack_notes > 0 {
-                " (slack available; see notes)"
-            } else {
-                ""
-            }
-        );
-        ExitCode::SUCCESS
-    }
-}
-
-fn cmd_health(args: &[String]) -> ExitCode {
-    let mut update = false;
-    let mut paths = Vec::new();
-    for a in args {
-        if a == "--update-budgets" {
-            update = true;
+        let records = if cmd == "health" {
+            "thresholds"
         } else {
-            paths.push(a.clone());
-        }
-    }
-    let [budget_path, sidecar_paths @ ..] = paths.as_slice() else {
-        return usage("health needs a budgets file");
-    };
-    if sidecar_paths.is_empty() {
-        return usage("health needs at least one sidecar");
-    }
-    let budgets = match std::fs::read_to_string(budget_path) {
-        Ok(text) => match HealthBudgets::parse(&text) {
-            Ok(b) => b,
-            Err(e) => return usage(&format!("{budget_path}: {e}")),
-        },
-        Err(e) if update => {
-            eprintln!("pvtm-trace health: starting fresh budgets ({budget_path}: {e})");
-            HealthBudgets::default()
-        }
-        Err(e) => return usage(&format!("cannot read {budget_path}: {e}")),
-    };
-    let mut sidecars = Vec::new();
-    for p in sidecar_paths {
-        match read_sidecar(p) {
-            Ok(sc) => sidecars.push(sc),
-            Err(e) => return usage(&e),
-        }
-    }
-
-    if update {
-        let next = update_health_budgets(&budgets, &sidecars);
-        if let Err(e) = std::fs::write(budget_path, next.to_json_pretty()) {
-            return usage(&format!("cannot write {budget_path}: {e}"));
-        }
+            "budgets"
+        };
         println!(
-            "pvtm-trace health: recorded thresholds for {} figure(s) in {budget_path}",
+            "pvtm-trace {cmd}: recorded {records} for {} figure(s) in {budget_path}",
             sidecars.len()
         );
         return ExitCode::SUCCESS;
     }
 
-    let out = health_check(&budgets, &sidecars);
+    let out = gate(&budgets, &sidecars);
     print!("{}", out.text);
     if out.failed() {
-        eprintln!("pvtm-trace health: FAIL — {} violation(s)", out.violations);
+        eprintln!("pvtm-trace {cmd}: FAIL — {} violation(s)", out.violations);
         ExitCode::from(EXIT_GATE)
     } else {
         println!(
-            "pvtm-trace health: OK — {} figure(s) within confidence thresholds",
-            sidecars.len()
+            "pvtm-trace {cmd}: OK — {} figure(s) {}",
+            sidecars.len(),
+            within(&out)
         );
         ExitCode::SUCCESS
     }

@@ -1,11 +1,11 @@
 //! `pvtm-trace report` — hot-span table and folded flamegraph stacks.
 
-use crate::sidecar::{Sidecar, Span};
+use pvtm_telemetry::{Sidecar, SpanRow};
 
 /// Span weight used for ranking and folded stacks: self-time when the
 /// producer's clock ran, Newton iterations otherwise (a clock-gated run
 /// has every `*_ns` field at zero, so work counters are the only signal).
-fn weight(s: &Span, clock: bool) -> u64 {
+fn weight(s: &SpanRow, clock: bool) -> u64 {
     if clock {
         s.self_ns
     } else {
@@ -13,13 +13,14 @@ fn weight(s: &Span, clock: bool) -> u64 {
     }
 }
 
-fn sorted_spans(sc: &Sidecar) -> Vec<&Span> {
-    let mut spans: Vec<&Span> = sc.spans.iter().collect();
+fn sorted_spans(sc: &Sidecar) -> Vec<&SpanRow> {
+    let clock = sc.report.clock;
+    let mut spans: Vec<&SpanRow> = sc.report.spans.iter().collect();
     // Stable key: weight descending, then path, so clock-off output is
     // deterministic even among equal weights.
     spans.sort_by(|a, b| {
-        weight(b, sc.clock)
-            .cmp(&weight(a, sc.clock))
+        weight(b, clock)
+            .cmp(&weight(a, clock))
             .then_with(|| a.path.cmp(&b.path))
     });
     spans
@@ -32,14 +33,17 @@ fn sorted_spans(sc: &Sidecar) -> Vec<&Span> {
 /// when the sidecar was produced with the clock gated off.
 pub fn hot_span_table(sc: &Sidecar, top: usize) -> String {
     let mut out = String::new();
-    let rank = if sc.clock {
+    let rank = if sc.report.clock {
         "self-time"
     } else {
         "newton iterations (clock was gated off)"
     };
     out.push_str(&format!(
         "hot spans of {} (mode {}, schema v{}) — ranked by {}\n",
-        sc.id, sc.mode, sc.schema_version, rank
+        sc.id,
+        sc.report.mode.as_str(),
+        sc.schema_version,
+        rank
     ));
     out.push_str(&format!(
         "{:<40} {:>8} {:>12} {:>12} {:>9} {:>9} {:>7} {:>8}\n",
@@ -60,7 +64,7 @@ pub fn hot_span_table(sc: &Sidecar, top: usize) -> String {
             format!("{}/{}", s.rescue_hits, s.rescue_attempts),
         ));
     }
-    if sc.spans.is_empty() {
+    if sc.report.spans.is_empty() {
         out.push_str("(no spans — was the producer run with PVTM_TELEMETRY=full?)\n");
     }
     out
@@ -72,8 +76,8 @@ pub fn hot_span_table(sc: &Sidecar, top: usize) -> String {
 /// spans are skipped — they would render as invisible frames anyway.
 pub fn folded_stacks(sc: &Sidecar) -> String {
     let mut out = String::new();
-    for s in &sc.spans {
-        let w = weight(s, sc.clock);
+    for s in &sc.report.spans {
+        let w = weight(s, sc.report.clock);
         if w > 0 {
             out.push_str(&format!("{} {}\n", s.path.replace('/', ";"), w));
         }
@@ -85,34 +89,23 @@ pub fn folded_stacks(sc: &Sidecar) -> String {
 mod tests {
     use super::*;
 
-    fn span(path: &str, self_ns: u64, newton: u64) -> Span {
-        Span {
+    fn span(path: &str, self_ns: u64, newton: u64) -> SpanRow {
+        SpanRow {
             path: path.to_string(),
             count: 1,
             total_ns: self_ns,
             self_ns,
-            solves: 0,
             newton_iterations: newton,
-            lu_factorizations: 0,
-            cold_solves: 0,
-            rescue_attempts: 0,
-            rescue_hits: 0,
+            ..SpanRow::default()
         }
     }
 
-    fn sidecar(clock: bool, spans: Vec<Span>) -> Sidecar {
-        Sidecar {
-            id: "t".into(),
-            mode: "full".into(),
-            clock,
-            schema_version: 2,
-            solver: Default::default(),
-            counters: Default::default(),
-            gauges: Default::default(),
-            histograms: Vec::new(),
-            spans,
-            traces: Vec::new(),
-        }
+    fn sidecar(clock: bool, spans: Vec<SpanRow>) -> Sidecar {
+        let mut sc = Sidecar::parse(r#"{"schema": "pvtm-telemetry/2", "id": "t", "mode": "full"}"#)
+            .expect("minimal sidecar parses");
+        sc.report.clock = clock;
+        sc.report.spans = spans;
+        sc
     }
 
     #[test]

@@ -15,29 +15,13 @@
 //! line, which a kill mid-append legitimately produces.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use pvtm_telemetry::json::{self, Value};
+use pvtm_telemetry::snapshot::TraceProgress;
+use pvtm_telemetry::{HealthChunk, Moments, SchemaError};
 
-/// Journal rejection: a schema-contract violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-fn err(message: impl Into<String>) -> JournalError {
-    JournalError {
-        message: message.into(),
-    }
+fn err(message: impl Into<String>) -> SchemaError {
+    SchemaError::new(message)
 }
 
 /// A parsed event journal: the header identity plus the body events.
@@ -65,7 +49,7 @@ impl Journal {
     ///
     /// Fails on an empty file, a bad header, an unparsable non-final
     /// line, or a sequence-number gap.
-    pub fn parse(text: &str) -> Result<Journal, JournalError> {
+    pub fn parse(text: &str) -> Result<Journal, SchemaError> {
         let lines: Vec<&str> = text.lines().collect();
         if lines.is_empty() {
             return Err(err("empty journal"));
@@ -81,10 +65,10 @@ impl Journal {
         }
 
         let header = &docs[0];
-        if header.get("kind").and_then(Value::as_str) != Some("run.start") {
+        if header.str_at("kind") != Some("run.start") {
             return Err(err("line 1: journal must open with a run.start event"));
         }
-        match header.get("schema").and_then(Value::as_str) {
+        match header.str_at("schema") {
             Some(SCHEMA) => {}
             other => {
                 return Err(err(format!(
@@ -99,24 +83,16 @@ impl Journal {
                     i + 1
                 )));
             }
-            if doc.get("kind").and_then(Value::as_str).is_none() {
+            if doc.str_at("kind").is_none() {
                 return Err(err(format!("line {}: missing \"kind\"", i + 1)));
             }
         }
 
-        let id = header
-            .get("id")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let mode = header
-            .get("mode")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
+        let id = header.str_at("id").unwrap_or("?").to_string();
+        let mode = header.str_at("mode").unwrap_or("?").to_string();
         let mut body = docs.split_off(1);
         let end = match body.last() {
-            Some(doc) if doc.get("kind").and_then(Value::as_str) == Some("run.end") => body.pop(),
+            Some(doc) if doc.str_at("kind") == Some("run.end") => body.pop(),
             _ => None,
         };
         Ok(Journal {
@@ -137,29 +113,8 @@ impl Journal {
 /// Journal schema this parser accepts (mirrors the producer's marker).
 pub const SCHEMA: &str = "pvtm-events/1";
 
-/// One trace's progress, folded from its `mc.start` / `mc.chunk` events.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceProgress {
-    /// Trace label.
-    pub name: String,
-    /// Chunks recorded so far.
-    pub chunks_done: u64,
-    /// Planned chunks from `mc.start` (0 when the start event is missing,
-    /// e.g. a tail that attached after a canonical rewrite trimmed nothing
-    /// — totals then read as unknown).
-    pub chunks_total: u64,
-    /// Samples recorded so far (sum of chunk `n`s).
-    pub samples_done: u64,
-    /// Planned samples from `mc.start`.
-    pub samples_total: u64,
-    /// Running estimate from the merged chunk moments.
-    pub value: f64,
-    /// Running standard error from the merged chunk moments.
-    pub std_err: f64,
-}
-
 /// A progress snapshot folded from one journal.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Figure id.
     pub id: String,
@@ -169,7 +124,9 @@ pub struct Snapshot {
     pub torn_tail: bool,
     /// Body events seen.
     pub events: usize,
-    /// Per-trace progress, name-sorted.
+    /// Per-trace progress, name-sorted — the rows a live scrape reports,
+    /// folded from `mc.start`, `mc.chunk` and `mc.health` events. Planned
+    /// totals read 0 until `mc.start` lands.
     pub traces: Vec<TraceProgress>,
     /// `figure.corner` events seen.
     pub corners: u64,
@@ -185,35 +142,6 @@ pub struct Snapshot {
     pub quarantined: u64,
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct Moments {
-    n: f64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Moments {
-    /// Chan parallel merge — same combination the estimators use, so the
-    /// tailed running estimate matches the sidecar's convergence trace.
-    fn merge(self, other: Moments) -> Moments {
-        // pvtm-lint: allow(no-float-eq) n is a whole-number sample count; 0.0 is the assigned empty sentinel
-        if other.n == 0.0 {
-            return self;
-        }
-        // pvtm-lint: allow(no-float-eq) n is a whole-number sample count; 0.0 is the assigned empty sentinel
-        if self.n == 0.0 {
-            return other;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        Moments {
-            n,
-            mean: self.mean + delta * other.n / n,
-            m2: self.m2 + other.m2 + delta * delta * self.n * other.n / n,
-        }
-    }
-}
-
 /// Folds a journal into a progress snapshot.
 pub fn snapshot(j: &Journal) -> Snapshot {
     #[derive(Default)]
@@ -222,6 +150,8 @@ pub fn snapshot(j: &Journal) -> Snapshot {
         chunks_total: u64,
         samples_total: u64,
         moments: Moments,
+        health_chunks: u64,
+        health: HealthChunk,
     }
     let mut traces: BTreeMap<String, Acc> = BTreeMap::new();
     let mut s = Snapshot {
@@ -229,23 +159,12 @@ pub fn snapshot(j: &Journal) -> Snapshot {
         finalized: j.finalized(),
         torn_tail: j.torn_tail,
         events: j.events.len(),
-        traces: Vec::new(),
-        corners: 0,
-        corners_quarantined: 0,
-        estimates: 0,
-        rescue_attempts: 0,
-        rescue_hits: 0,
-        quarantined: 0,
+        ..Snapshot::default()
     };
     let f = |e: &Value, key: &str| e.get(key).and_then(Value::as_f64).unwrap_or(0.0);
     for e in &j.events {
-        let trace_of = |e: &Value| {
-            e.get("trace")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string()
-        };
-        match e.get("kind").and_then(Value::as_str) {
+        let trace_of = |e: &Value| e.str_at("trace").unwrap_or("?").to_string();
+        match e.str_at("kind") {
             Some("mc.start") => {
                 let acc = traces.entry(trace_of(e)).or_default();
                 acc.chunks_total += f(e, "chunks") as u64;
@@ -254,10 +173,23 @@ pub fn snapshot(j: &Journal) -> Snapshot {
             Some("mc.chunk") => {
                 let acc = traces.entry(trace_of(e)).or_default();
                 acc.chunks_done += 1;
+                // The producer's own merge, in the finalized journal's
+                // chunk order: the running estimate equals the sidecar's
+                // convergence trace bit for bit.
                 acc.moments = acc.moments.merge(Moments {
-                    n: f(e, "n"),
+                    n: f(e, "n") as u64,
                     mean: f(e, "mean"),
                     m2: f(e, "m2"),
+                });
+            }
+            Some("mc.health") => {
+                let acc = traces.entry(trace_of(e)).or_default();
+                acc.health_chunks += 1;
+                acc.health = acc.health.merge(HealthChunk {
+                    fails: f(e, "fails") as u64,
+                    weight_sum: f(e, "weight_sum"),
+                    weight_sq_sum: f(e, "weight_sq_sum"),
+                    weight_max: f(e, "weight_max"),
                 });
             }
             Some("figure.corner") => {
@@ -279,21 +211,20 @@ pub fn snapshot(j: &Journal) -> Snapshot {
     }
     s.traces = traces
         .into_iter()
-        .map(|(name, a)| {
-            let std_err = if a.moments.n > 1.0 {
-                (a.moments.m2 / (a.moments.n - 1.0) / a.moments.n).sqrt()
-            } else {
-                0.0
-            };
-            TraceProgress {
-                name,
-                chunks_done: a.chunks_done,
-                chunks_total: a.chunks_total,
-                samples_done: a.moments.n as u64,
-                samples_total: a.samples_total,
-                value: a.moments.mean,
-                std_err,
-            }
+        .map(|(name, a)| TraceProgress {
+            name,
+            chunks_done: a.chunks_done,
+            chunks_total: a.chunks_total,
+            samples_done: a.moments.n,
+            samples_total: a.samples_total,
+            health_chunks: a.health_chunks,
+            contributing: a.health.fails,
+            weight_sum: a.health.weight_sum,
+            weight_sq_sum: a.health.weight_sq_sum,
+            weight_max: a.health.weight_max,
+            ess: a.health.ess(),
+            value: a.moments.mean,
+            std_err: a.moments.std_err(),
         })
         .collect();
     s
@@ -357,9 +288,9 @@ impl Snapshot {
         out
     }
 
-    /// Renders the human-readable snapshot.
-    pub fn render(&self) -> String {
-        let mut out = format!(
+    /// The snapshot's first line: run id and state.
+    pub fn header(&self) -> String {
+        format!(
             "run {} — {} ({} events{})\n",
             self.id,
             if self.finalized {
@@ -373,17 +304,13 @@ impl Snapshot {
             } else {
                 ""
             },
-        );
-        for t in &self.traces {
-            out.push_str(&format!(
-                "  trace {}: {}/{} chunks, {}/{} samples",
-                t.name, t.chunks_done, t.chunks_total, t.samples_done, t.samples_total
-            ));
-            if t.samples_done > 0 {
-                out.push_str(&format!(", est {:.4e} ± {:.2e}", t.value, t.std_err));
-            }
-            out.push('\n');
-        }
+        )
+    }
+
+    /// The corner and rescue tally lines (empty when there is nothing to
+    /// tally).
+    pub fn tallies(&self) -> String {
+        let mut out = String::new();
         if self.corners > 0 {
             out.push_str(&format!(
                 "  corners: {} done ({} quarantined), {} estimates\n",
@@ -397,6 +324,22 @@ impl Snapshot {
             ));
         }
         out
+    }
+
+    /// Renders the human-readable snapshot.
+    pub fn render(&self) -> String {
+        let mut out = self.header();
+        for t in &self.traces {
+            out.push_str(&format!(
+                "  trace {}: {}/{} chunks, {}/{} samples",
+                t.name, t.chunks_done, t.chunks_total, t.samples_done, t.samples_total
+            ));
+            if t.samples_done > 0 {
+                out.push_str(&format!(", est {:.4e} ± {:.2e}", t.value, t.std_err));
+            }
+            out.push('\n');
+        }
+        out + &self.tallies()
     }
 }
 
@@ -505,7 +448,7 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted, "top-level keys must be alphabetical");
-        assert_eq!(v.get("id").and_then(Value::as_str), Some("fig2a"));
+        assert_eq!(v.str_at("id"), Some("fig2a"));
         assert_eq!(v.get("finalized").and_then(Value::as_bool), Some(false));
         assert_eq!(v.get("work_done").and_then(Value::as_u64), Some(2));
         assert_eq!(v.get("work_total").and_then(Value::as_u64), Some(2));

@@ -3,8 +3,8 @@
 //! Two sources, one display:
 //!
 //! - **live** (`pvtm-trace top 127.0.0.1:9184`): polls the producer's
-//!   `/snapshot.json` endpoint (a [`crate::sidecar::Sidecar`]-schema
-//!   document plus live-plane members) with a hand-rolled `std::net`
+//!   `/snapshot.json` endpoint (a sidecar-schema document plus live-plane
+//!   members, read as one [`LiveSnapshot`]) with a hand-rolled `std::net`
 //!   HTTP/1.1 client — no new dependencies, mirroring the server side;
 //! - **journal** (`pvtm-trace top results/fig2a.events.jsonl`): degrades
 //!   to re-reading the event journal and folding it through
@@ -22,10 +22,10 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use pvtm_telemetry::json::{self, Value};
+use pvtm_telemetry::snapshot::{LiveSnapshot, TraceProgress};
+use pvtm_telemetry::{json, Sidecar, SCHEMA_VERSION};
 
 use crate::report::hot_span_table;
-use crate::sidecar::Sidecar;
 use crate::tail;
 
 /// Where `top` reads its frames from.
@@ -79,16 +79,6 @@ pub fn http_get(addr: SocketAddr, path: &str) -> Result<(u16, String), String> {
     Ok((status, body))
 }
 
-/// One fetched live frame: the snapshot parsed both ways.
-#[derive(Debug, Clone)]
-pub struct LiveFrame {
-    /// The sidecar-schema view (spans, gauges, traces).
-    pub sidecar: Sidecar,
-    /// The raw document, for the live-plane members the sidecar parser
-    /// ignores (`epoch`, `elapsed_secs`, `open_spans`, `progress`, ...).
-    pub raw: Value,
-}
-
 /// Fetches and validates one `/snapshot.json` frame.
 ///
 /// # Errors
@@ -96,33 +86,15 @@ pub struct LiveFrame {
 /// Returns a message when the scrape fails, the status is not 200, or
 /// the body violates the sidecar/live contract — which is exactly what
 /// `top --once` gates on in CI.
-pub fn fetch_live(addr: SocketAddr) -> Result<LiveFrame, String> {
+pub fn fetch_live(addr: SocketAddr) -> Result<LiveSnapshot, String> {
     let (status, body) = http_get(addr, "/snapshot.json")?;
     if status != 200 {
         return Err(format!("{addr}/snapshot.json answered {status}"));
     }
-    let sidecar = Sidecar::parse(&body).map_err(|e| format!("{addr}/snapshot.json: {e}"))?;
-    let raw = json::parse(&body).map_err(|e| format!("{addr}/snapshot.json: {e}"))?;
-    if raw.get("live").and_then(Value::as_bool) != Some(true) {
-        return Err(format!("{addr}/snapshot.json: missing live marker"));
-    }
-    if !matches!(raw.get("progress"), Some(Value::Arr(_))) {
-        return Err(format!("{addr}/snapshot.json: missing progress array"));
-    }
-    Ok(LiveFrame { sidecar, raw })
-}
-
-/// One dashboard row, whichever source it came from.
-#[derive(Debug, Clone, PartialEq)]
-struct Row {
-    name: String,
-    chunks_done: u64,
-    chunks_total: u64,
-    samples_done: u64,
-    samples_total: u64,
-    value: f64,
-    std_err: f64,
-    ess: Option<f64>,
+    json::parse(&body)
+        .map_err(|e| format!("malformed sidecar JSON: {e}"))
+        .and_then(|doc| LiveSnapshot::from_value(&doc).map_err(|e| e.message))
+        .map_err(|e| format!("{addr}/snapshot.json: {e}"))
 }
 
 /// A fixed-width `#`/`.` progress bar; all-`.` when the total is unknown.
@@ -139,7 +111,9 @@ fn bar(done: u64, total: u64, width: usize) -> String {
     out
 }
 
-fn render_rows(out: &mut String, rows: &[Row]) {
+/// Progress rows; `with_ess` adds each row's effective sample size (live
+/// frames; the journal dashboard shows none).
+fn render_rows(out: &mut String, rows: &[TraceProgress], with_ess: bool) {
     for r in rows {
         let pct = if r.chunks_total > 0 {
             format!(
@@ -163,8 +137,8 @@ fn render_rows(out: &mut String, rows: &[Row]) {
         if r.samples_done > 0 {
             let _ = write!(out, ", est {:.4e} ± {:.2e}", r.value, r.std_err);
         }
-        if let Some(ess) = r.ess {
-            let _ = write!(out, ", ess {ess:.1}");
+        if with_ess {
+            let _ = write!(out, ", ess {:.1}", r.ess);
         }
         out.push('\n');
     }
@@ -173,7 +147,7 @@ fn render_rows(out: &mut String, rows: &[Row]) {
 /// Appends the work-based ETA line: chunks are equal-sized by
 /// construction, so `elapsed / done` extrapolates. Suppressed when the
 /// clock is gated off (elapsed 0), nothing has landed, or the run is done.
-fn render_eta(out: &mut String, rows: &[Row], elapsed: f64) {
+fn render_eta(out: &mut String, rows: &[TraceProgress], elapsed: f64) {
     let done: u64 = rows.iter().map(|r| r.chunks_done).sum();
     let total: u64 = rows.iter().map(|r| r.chunks_total).sum();
     if done > 0 && total > done && elapsed > 0.0 {
@@ -183,47 +157,22 @@ fn render_eta(out: &mut String, rows: &[Row], elapsed: f64) {
 }
 
 /// Renders one live-frame dashboard.
-pub fn render_live(frame: &LiveFrame, top_spans: usize) -> String {
-    let raw = &frame.raw;
-    let sc = &frame.sidecar;
-    let num = |key: &str| raw.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-    let elapsed = num("elapsed_secs");
+pub fn render_live(frame: &LiveSnapshot, top_spans: usize) -> String {
+    let report = &frame.report;
+    let elapsed = frame.elapsed_secs;
     let mut out = format!(
         "run {} — live (epoch {}, mode {}",
-        sc.id,
-        num("epoch") as u64,
-        sc.mode
+        frame.id,
+        frame.epoch,
+        report.mode.as_str()
     );
     if elapsed > 0.0 {
         let _ = write!(out, ", {elapsed:.1} s elapsed");
     }
     out.push_str(")\n");
 
-    let rows: Vec<Row> = match raw.get("progress") {
-        Some(Value::Arr(entries)) => entries
-            .iter()
-            .map(|p| {
-                let f = |key: &str| p.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-                Row {
-                    name: p
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    chunks_done: f("chunks_done") as u64,
-                    chunks_total: f("chunks_total") as u64,
-                    samples_done: f("samples_done") as u64,
-                    samples_total: f("samples_total") as u64,
-                    value: f("value"),
-                    std_err: f("std_err"),
-                    ess: p.get("ess").and_then(Value::as_f64),
-                }
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    render_rows(&mut out, &rows);
-    render_eta(&mut out, &rows, elapsed);
+    render_rows(&mut out, &frame.progress, true);
+    render_eta(&mut out, &frame.progress, elapsed);
 
     // Estimator-health ledger from the derived v3 gauges; absent early in
     // a run (no chunk recorded yet), which simply hides the line.
@@ -235,91 +184,50 @@ pub fn render_live(frame: &LiveFrame, top_spans: usize) -> String {
     ];
     let ledger: Vec<String> = axes
         .iter()
-        .filter_map(|(label, gauge)| sc.gauges.get(*gauge).map(|v| format!("{label} {v:.3}")))
+        .filter_map(|(label, gauge)| report.gauge(gauge).map(|v| format!("{label} {v:.3}")))
         .collect();
     if !ledger.is_empty() {
         let _ = writeln!(out, "  health: {}", ledger.join(", "));
     }
-    let quarantined = num("quarantine_count") as u64;
-    if quarantined > 0 {
-        let _ = writeln!(out, "  quarantined corners: {quarantined}");
+    if !report.quarantine.is_empty() {
+        let _ = writeln!(out, "  quarantined corners: {}", report.quarantine.len());
     }
 
-    if let Some(Value::Arr(open)) = raw.get("open_spans") {
-        let spans: Vec<String> = open
-            .iter()
-            .filter_map(|s| {
-                let path = s.get("path").and_then(Value::as_str)?;
-                let n = s.get("open").and_then(Value::as_u64).unwrap_or(0);
-                Some(if n > 1 {
-                    format!("{path} (x{n})")
-                } else {
-                    path.to_string()
-                })
-            })
-            .collect();
-        if !spans.is_empty() {
-            let _ = writeln!(out, "  open spans: {}", spans.join(" "));
-        }
+    let spans: Vec<String> = frame
+        .open_spans
+        .iter()
+        .map(|(path, n)| {
+            if *n > 1 {
+                format!("{path} (x{n})")
+            } else {
+                path.clone()
+            }
+        })
+        .collect();
+    if !spans.is_empty() {
+        let _ = writeln!(out, "  open spans: {}", spans.join(" "));
     }
 
-    if !sc.spans.is_empty() {
+    if !report.spans.is_empty() {
         out.push('\n');
-        out.push_str(&hot_span_table(sc, top_spans));
+        let sc = Sidecar {
+            id: frame.id.clone(),
+            schema_version: u64::from(SCHEMA_VERSION),
+            report: report.clone(),
+        };
+        out.push_str(&hot_span_table(&sc, top_spans));
     }
     out
 }
 
 /// Renders one journal-mode dashboard from a [`tail`] snapshot.
 pub fn render_journal(s: &tail::Snapshot, elapsed: f64) -> String {
-    let mut out = format!(
-        "run {} — {} ({} events{})\n",
-        s.id,
-        if s.finalized {
-            "finalized"
-        } else {
-            "in flight"
-        },
-        s.events,
-        if s.torn_tail {
-            ", torn tail dropped"
-        } else {
-            ""
-        },
-    );
-    let rows: Vec<Row> = s
-        .traces
-        .iter()
-        .map(|t| Row {
-            name: t.name.clone(),
-            chunks_done: t.chunks_done,
-            chunks_total: t.chunks_total,
-            samples_done: t.samples_done,
-            samples_total: t.samples_total,
-            value: t.value,
-            std_err: t.std_err,
-            ess: None,
-        })
-        .collect();
-    render_rows(&mut out, &rows);
+    let mut out = s.header();
+    render_rows(&mut out, &s.traces, false);
     if !s.finalized {
-        render_eta(&mut out, &rows, elapsed);
+        render_eta(&mut out, &s.traces, elapsed);
     }
-    if s.corners > 0 {
-        let _ = writeln!(
-            out,
-            "  corners: {} done ({} quarantined), {} estimates",
-            s.corners, s.corners_quarantined, s.estimates
-        );
-    }
-    if s.rescue_attempts > 0 || s.quarantined > 0 {
-        let _ = writeln!(
-            out,
-            "  rescue: {}/{} hits/attempts, quarantined samples: {}",
-            s.rescue_hits, s.rescue_attempts, s.quarantined
-        );
-    }
-    out
+    out + &s.tallies()
 }
 
 #[cfg(test)]
@@ -359,10 +267,8 @@ mod tests {
             r#""quarantine_count":0,"schema":"pvtm-telemetry/3","schema_version":3,"#,
             r#""solver":{"solves":12},"spans":[],"traces":[]}"#
         );
-        let frame = LiveFrame {
-            sidecar: Sidecar::parse(body).expect("snapshot body parses as sidecar"),
-            raw: json::parse(body).unwrap(),
-        };
+        let frame = LiveSnapshot::from_value(&json::parse(body).unwrap())
+            .expect("snapshot body parses as a live snapshot");
         let text = render_live(&frame, 10);
         assert!(text.contains("run fig2a — live (epoch 7"), "{text}");
         assert!(text.contains("1/4 chunks"), "{text}");

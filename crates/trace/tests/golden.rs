@@ -6,6 +6,7 @@
 //! To regenerate after an intentional output change:
 //! `cargo test -p pvtm-trace --test golden -- --ignored bless`
 
+use pvtm_telemetry::HealthEntry;
 use pvtm_trace::{
     check, diff, folded_stacks, health_check, hot_span_table, update_budgets,
     update_health_budgets, Budgets, HealthBudgets, Sidecar,
@@ -46,20 +47,9 @@ fn health_budgets() -> HealthBudgets {
 /// loose enough for any honest importance-sampled figure, tight enough to
 /// reject the seeded low-ESS run.
 fn default_health_entry() -> HealthBudgets {
-    HealthBudgets::parse(
-        r#"{
-          "schema": "pvtm-health-budgets/1",
-          "budgets": {
-            "default": {
-              "min_ess_fraction": 0.2,
-              "max_weight_fraction": 0.25,
-              "max_stall_ratio": 0.5,
-              "max_quarantine_ci_share": 0.25
-            }
-          }
-        }"#,
-    )
-    .expect("inline default budgets parse")
+    HealthBudgets {
+        entries: [("default".to_string(), HealthEntry::CONSERVATIVE)].into(),
+    }
 }
 
 fn assert_golden(name: &str, actual: &str) {
@@ -111,7 +101,7 @@ fn check_passes_base_fixture_against_budgets() {
         "budgets must match the base fixture:\n{}",
         out.text
     );
-    assert_eq!(out.slack_notes, 0, "budgets are an exact ratchet");
+    assert_eq!(out.notes, 0, "budgets are an exact ratchet");
 }
 
 #[test]
